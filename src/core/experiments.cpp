@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "common/parallel_for.hpp"
@@ -44,6 +46,16 @@ core::Budget cell_budget(const SolveRequest& req) {
   return core::Budget(std::uint64_t(req.budget_ticks > 0 ? req.budget_ticks
                                                          : 0),
                       req.cancel);
+}
+
+/// The hex content digest a cache key embeds for `m`: the one its generator
+/// or loader computed.  A matrix without one throws, so two digest-less
+/// matrices can never share a key.
+std::string key_digest(const matrices::GeneratedMatrix& m) {
+  if (!m.digest)
+    throw std::logic_error("cache key for matrix '" + m.spec.name +
+                           "' without a content digest");
+  return digest_hex(*m.digest);
 }
 }  // namespace
 
@@ -183,12 +195,10 @@ CholCell cholesky_in_format(const la::Dense<double>& A,
                             const la::ResilientOptions& resilience,
                             Budget* budget) {
   CholCell cell;
-  const auto At = A.template cast<T>();
-  const auto bt = la::kernels::from_double_vec<T>(b);
-
+  // The cast happens inside the factor function: a cache hit never reads it.
   const auto factor = [&] {
-    return la::cholesky_resilient(At, resilience, nullptr, kc, nullptr,
-                                  budget);
+    return la::cholesky_resilient(A.template cast<T>(), resilience, nullptr,
+                                  kc, nullptr, budget);
   };
   std::shared_ptr<const la::CholResult<T>> fact;
   if (cache && !factor_key.empty()) {
@@ -205,6 +215,7 @@ CholCell cholesky_in_format(const la::Dense<double>& A,
   cell.recovery = fact->recovery;
   if (fact->status != la::CholStatus::ok) return cell;
 
+  const auto bt = la::kernels::from_double_vec<T>(b);
   const auto x = la::solve_upper(fact->R, la::solve_lower_rt(fact->R, bt, kc), kc);
   if (!la::kernels::all_finite(x)) {
     cell.status = la::SolveStatus::arithmetic_error;
@@ -278,20 +289,27 @@ CholRow run_cholesky_experiment(const matrices::GeneratedMatrix& m,
   row.matrix = m.spec.name;
   row.norm2 = m.spec.norm2;
 
-  la::Dense<double> A = m.dense;
+  // A is copied only when the request rescales it.
   la::Vec<double> b = request_rhs(m, req.rhs_seed);
-  if (req.rescale) scaling::scale_diag_avg(A, b);
+  std::optional<la::Dense<double>> scaled;
+  if (req.rescale) {
+    scaled = m.dense;
+    scaling::scale_diag_avg(*scaled, b);
+  }
+  const la::Dense<double>& A = scaled ? *scaled : m.dense;
 
   const la::kernels::Context kc = req.kernel_context();
   const la::ResilientOptions res = req.resilient_options();
-  // Factorization cache key: (content digest of the scaled matrix, format,
-  // scaling) — the RHS never enters, which is what lets a multi-RHS batch
-  // reuse one factorization per format.  Deadline-carrying requests bypass
-  // the factor cache entirely (see has_deadline above).
+  // Factorization cache key: (content digest of the matrix as generated,
+  // format, scaling) — scale_diag_avg is a function of A alone, so the
+  // scaling tag keeps the key content-addressed.  The RHS never enters,
+  // which is what lets a multi-RHS batch reuse one factorization per
+  // format.  Deadline-carrying requests bypass the factor cache entirely
+  // (see has_deadline above).
   const bool deadline = has_deadline(req);
   std::string kb;
   if (cache && !deadline)
-    kb = "chol/" + digest_hex(dense_digest(A)) + "/" +
+    kb = "chol/" + key_digest(m) + "/" +
          (req.rescale ? "diag" : "none") + (req.resilience ? "/res" : "") + "/";
   const auto key = [&](const char* fmt) {
     return cache && !deadline ? kb + fmt : std::string();
@@ -374,7 +392,7 @@ la::IrReport ir_one_format(const matrices::GeneratedMatrix& m,
   la::Dense<double> Ah;
   if (cache) {
     const auto eq = cache->get_or_make<Equilibrated>(
-        "equil/" + digest_hex(dense_digest(A)),
+        "equil/" + key_digest(m),
         [&] {
           Equilibrated e;
           e.rar = A;
@@ -417,7 +435,7 @@ IrRow run_ir_experiment(const matrices::GeneratedMatrix& m,
   row.matrix = m.spec.name;
   std::string kb;
   if (cache)
-    kb = "irfact/" + digest_hex(dense_digest(m.dense)) + "/" +
+    kb = "irfact/" + key_digest(m) + "/" +
          (req.rescale ? "higham" : "naive") +
          (req.resilience ? "/res" : "") + "/";
   row.f16 = ir_one_format<Half>(m, req, scaling::mu_ieee<Half>(), cache, kb,
@@ -455,16 +473,16 @@ struct EquilibratedGeneral {
 };
 
 std::shared_ptr<const EquilibratedGeneral> equilibrated_general(
-    const la::Dense<double>& A, ArtifactCache* cache) {
+    const matrices::GeneratedMatrix& m, ArtifactCache* cache) {
   const auto make = [&] {
     EquilibratedGeneral e;
-    e.as = A;
+    e.as = m.dense;
     e.gs = scaling::equilibrate_general(e.as);
     return e;
   };
   if (!cache) return std::make_shared<const EquilibratedGeneral>(make());
   return cache->get_or_make<EquilibratedGeneral>(
-      "equilg/" + digest_hex(dense_digest(A)), make,
+      "equilg/" + key_digest(m), make,
       [](const EquilibratedGeneral& e) {
         return sizeof e + e.as.data().size() * sizeof(double) +
                (e.gs.row.size() + e.gs.col.size()) * sizeof(double);
@@ -519,7 +537,7 @@ la::IrOptions general_ir_options(const matrices::GeneratedMatrix& m,
 std::string lufact_key_base(const matrices::GeneratedMatrix& m,
                             const SolveRequest& req, ArtifactCache* cache) {
   if (!cache) return {};
-  return "lufact/" + digest_hex(dense_digest(m.dense)) + "/" +
+  return "lufact/" + key_digest(m) + "/" +
          (req.rescale ? "equil" : "naive") + "/";
 }
 
@@ -543,7 +561,7 @@ LuIrCell lu_ir_cell(const matrices::GeneratedMatrix& m,
     cell.rep = la::lu_ir<F>(m.dense, b, x, iro, nullptr, nullptr, fact.get());
     return cell;
   }
-  const auto eq = equilibrated_general(m.dense, cache);
+  const auto eq = equilibrated_general(m, cache);
   const auto fact =
       lu_factor_cached<F>(eq->as, cache, key_base, fmt_tag, iro.kernels);
   cell.rep = la::lu_ir<F>(m.dense, b, x, iro, &eq->gs, &eq->as, fact.get());
@@ -575,7 +593,7 @@ GmresIrCell gmres_ir_cell(const matrices::GeneratedMatrix& m,
   const la::Dense<double>* as = nullptr;
   std::shared_ptr<const EquilibratedGeneral> eq;
   if (req.rescale) {
-    eq = equilibrated_general(m.dense, cache);
+    eq = equilibrated_general(m, cache);
     gs = &eq->gs;
     as = &eq->as;
   }

@@ -175,12 +175,12 @@ CgCell cg_in_format(const la::Csr<double>& A, const la::Vec<double>& b,
                     const la::CgOptions& opt);
 
 /// Generic single-format Cholesky solve backward error.  With a cache, the
-/// factorization is looked up / stored under `factor_key` (which must embed
-/// the scaled matrix's digest, the format and the scaling; empty = never
-/// cache).  `resilience` engages the diagonal-shift retry ladder.  `budget`
-/// ticks once per factorization column; callers with a deadline must pass an
-/// empty factor_key (a cached complete factor would skip the ticks and a
-/// partial one must never be stored).
+/// factorization is looked up / stored under `factor_key` (which must
+/// identify A's content, the format and the scaling; empty = never cache);
+/// A is cast to T only on a miss.  `resilience` engages the diagonal-shift
+/// retry ladder.  `budget` ticks once per factorization column; callers with
+/// a deadline must pass an empty factor_key (a cached complete factor would
+/// skip the ticks and a partial one must never be stored).
 template <class T>
 CholCell cholesky_in_format(const la::Dense<double>& A,
                             const la::Vec<double>& b,

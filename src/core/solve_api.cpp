@@ -7,7 +7,6 @@
 #include "core/experiments.hpp"
 #include "core/report_json.hpp"
 #include "core/telemetry/telemetry.hpp"
-#include "la/dense.hpp"
 #include "matrices/suite.hpp"
 
 namespace pstab::core {
@@ -172,22 +171,6 @@ std::string SolveRequest::canonical_key() const {
 
 // ---------------------------------------------------------------------------
 // Digests
-
-std::uint64_t fnv1a64(const void* data, std::size_t len,
-                      std::uint64_t h) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t dense_digest(const la::Dense<double>& A) noexcept {
-  const std::int64_t dims[2] = {A.rows(), A.cols()};
-  std::uint64_t h = fnv1a64(dims, sizeof dims);
-  return fnv1a64(A.data().data(), A.data().size() * sizeof(double), h);
-}
 
 std::string digest_hex(std::uint64_t d) {
   char buf[20];

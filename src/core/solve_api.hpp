@@ -24,14 +24,10 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "core/budget.hpp"
 #include "la/kernels/kernels.hpp"
 #include "la/solve_report.hpp"
-
-namespace pstab::la {
-template <class T>
-class Dense;
-}
 
 namespace pstab::matrices {
 struct GeneratedMatrix;
@@ -237,13 +233,12 @@ class ArtifactCache {
 };
 
 // ---------------------------------------------------------------------------
-// Digests (FNV-1a 64 over raw bytes; stable across runs, fast enough to
-// hash a suite matrix on every request)
+// Digests.  Matrix content digests are computed once, where a matrix is
+// generated or loaded (matrices::GeneratedMatrix::digest); cache keys embed
+// them through digest_hex.  The hash itself lives in common/fnv.hpp, below
+// matrices/; core::fnv1a64 remains its name for report and response digests.
 
-[[nodiscard]] std::uint64_t fnv1a64(
-    const void* data, std::size_t len,
-    std::uint64_t h = 0xcbf29ce484222325ull) noexcept;
-[[nodiscard]] std::uint64_t dense_digest(const la::Dense<double>& A) noexcept;
+using pstab::fnv1a64;
 [[nodiscard]] std::string digest_hex(std::uint64_t d);
 
 // ---------------------------------------------------------------------------

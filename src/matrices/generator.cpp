@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "common/fnv.hpp"
 #include "la/cholesky.hpp"
 #include "la/norms.hpp"
 
@@ -16,16 +17,18 @@ namespace pstab::matrices {
 namespace {
 
 std::uint64_t name_seed(const std::string& name) {
-  // FNV-1a: stable across platforms, unlike std::hash.
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : name) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  // FNV-1a with a truncated offset basis (14695981039346656037 lost its last
+  // digit); kept as is, because every generated matrix derives from it.
+  return fnv1a64(name.data(), name.size(), 1469598103934665603ull);
 }
 
 }  // namespace
+
+std::uint64_t dense_digest(const la::Dense<double>& A) noexcept {
+  const std::int64_t dims[2] = {A.rows(), A.cols()};
+  const std::uint64_t h = fnv1a64(dims, sizeof dims);
+  return fnv1a64(A.data().data(), A.data().size() * sizeof(double), h);
+}
 
 GeneratedMatrix generate_spd(const MatrixSpec& spec, int size_cap) {
   if (spec.cond_core > spec.cond)
@@ -112,6 +115,7 @@ GeneratedMatrix generate_spd(const MatrixSpec& spec, int size_cap) {
 
   g.dense = std::move(A);
   g.csr = la::Csr<double>::from_dense(g.dense);
+  g.digest = dense_digest(g.dense);
   return g;
 }
 
@@ -218,6 +222,7 @@ GeneratedMatrix generate_general(const MatrixSpec& spec, int size_cap) {
 
   g.dense = std::move(A);
   g.csr = la::Csr<double>::from_dense(g.dense);
+  g.digest = dense_digest(g.dense);
   return g;
 }
 
@@ -263,6 +268,7 @@ GeneratedMatrix generate_spd_sparse(const MatrixSpec& spec, int size_cap) {
   g.lambda_min = gersh_min * sigma;
   g.csr = la::Csr<double>::from_triplets(n, n, std::move(trips));
   // g.dense stays empty on purpose: the tier exists to avoid O(n^2) memory.
+  g.digest = dense_digest(g.dense);
   return g;
 }
 

@@ -18,6 +18,8 @@
 // matrix name: the suite is bit-reproducible.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "la/csr.hpp"
@@ -50,6 +52,11 @@ struct GeneratedMatrix {
   int n = 0;  // actual generated order (after any size cap)
   la::Dense<double> dense;
   la::Csr<double> csr;
+  // dense_digest(dense), computed once by the generator or loader that
+  // built the matrix; every cache key for this matrix embeds it.  Empty on a
+  // hand-assembled matrix: building a cache key from one throws rather than
+  // sharing a key with every other digest-less matrix.
+  std::optional<std::uint64_t> digest;
   double lambda_max = 0, lambda_min = 0;
   [[nodiscard]] double cond_measured() const {
     return lambda_min > 0 ? lambda_max / lambda_min : 0;
@@ -77,6 +84,10 @@ GeneratedMatrix generate_general(const MatrixSpec& spec, int size_cap = 0);
 /// estimates, not measured.  O(nnz) construction — no dense spectral
 /// calibration — which is what lets n reach 10^5.
 GeneratedMatrix generate_spd_sparse(const MatrixSpec& spec, int size_cap = 0);
+
+/// Content digest of a dense matrix: FNV-1a 64 over its dimensions, then
+/// its row-major values.  An empty (sparse-only) matrix hashes its 0x0 shape.
+[[nodiscard]] std::uint64_t dense_digest(const la::Dense<double>& A) noexcept;
 
 /// The paper's right-hand side: b = A * xhat with xhat = (1/sqrt(n), ...)
 /// so that ||xhat|| = 1 (§V-A.1).

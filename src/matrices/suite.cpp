@@ -120,6 +120,7 @@ GeneratedMatrix load_or_generate(const MatrixSpec& spec) {
     // Large-tier overrides stay sparse; densifying an n=10^5 file would
     // defeat the tier's whole point.
     if (!spec.sparse_only) g.dense = g.csr.to_dense();
+    g.digest = dense_digest(g.dense);
     g.lambda_max = la::kernels::norm2_est(g.csr);
     g.lambda_min = 0;  // not estimated for loaded matrices
     return g;

@@ -424,6 +424,8 @@ bool Engine::serve_tcp(int port, bool once, std::string& err,
       ::close(listener);
       return false;
     }
+    // Best effort: a socket without it still works, only slower.
+    set_tcp_nodelay(conn);
     // Separate FILE streams for the two directions (each buffers its own
     // side; write_frame flushes per response).
     std::FILE* in = ::fdopen(conn, "rb");

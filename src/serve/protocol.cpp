@@ -3,6 +3,10 @@
 #include <cctype>
 #include <cstring>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include "core/report_json.hpp"
 
 namespace pstab::serve {
@@ -268,6 +272,11 @@ FrameRead read_frame(std::FILE* in, std::string& payload,
     return FrameRead::error;
   }
   return FrameRead::ok;
+}
+
+bool set_tcp_nodelay(int fd) noexcept {
+  const int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) == 0;
 }
 
 // ---------------------------------------------------------------------------

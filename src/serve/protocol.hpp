@@ -87,6 +87,12 @@ enum class FrameRead { ok, eof, error };
 FrameRead read_frame(std::FILE* in, std::string& payload,
                      std::size_t max_frame, std::string& err);
 
+/// Turn off Nagle's algorithm on a connected TCP socket; both ends of a
+/// pstab-serve-v1 connection call it.  Frames are small and flushed one by
+/// one, so with Nagle on, every frame after the first in a burst waits for
+/// the peer's delayed ACK (a 40 ms quantum on Linux).  False on failure.
+bool set_tcp_nodelay(int fd) noexcept;
+
 // ---------------------------------------------------------------------------
 // Requests and responses
 

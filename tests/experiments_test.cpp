@@ -21,6 +21,7 @@
 #include "la/cholesky.hpp"
 #include "la/kernels/simd/simd.hpp"
 #include "matrices/suite.hpp"
+#include "serve/cache.hpp"
 
 namespace {
 
@@ -96,6 +97,32 @@ TEST(CgExperiment, ReportsAllFourFormats) {
   // Converged runs honour the paper's backward-error criterion in double.
   EXPECT_LT(row.f32.true_relres, 1e-4);
   EXPECT_LT(row.p32_2.true_relres, 1e-4);
+}
+
+// A cache key embeds the matrix's content digest, computed once where the
+// matrix was built.  A matrix without one must never share a key.
+TEST(CacheKeys, MatrixWithoutADigestThrowsInsteadOfSharingAKey) {
+  matrices::GeneratedMatrix g = matrices::suite_matrix("bcsstk01");
+  g.digest.reset();
+  serve::Cache cache(std::size_t(16) << 20);
+  core::SolveRequest req;
+  for (const bool rescale : {false, true}) {
+    req.rescale = rescale;
+    EXPECT_THROW((void)core::run_cholesky_experiment(g, req, &cache),
+                 std::logic_error);
+    EXPECT_THROW((void)core::run_ir_experiment(g, req, &cache),
+                 std::logic_error);
+    EXPECT_THROW((void)core::run_lu_ir_experiment(g, req, &cache),
+                 std::logic_error);
+    EXPECT_THROW((void)core::run_gmres_ir_experiment(g, req, &cache),
+                 std::logic_error);
+  }
+  EXPECT_EQ(cache.stats().insertions, 0u);
+  // Without a cache no key is built: the solve is the one the digested
+  // matrix gets.
+  EXPECT_EQ(core::cholesky_row_json(core::run_cholesky_experiment(g, req)),
+            core::cholesky_row_json(core::run_cholesky_experiment(
+                matrices::suite_matrix("bcsstk01"), req)));
 }
 
 TEST(CgExperiment, PctImprovementSignConvention) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <sstream>
 
 #include "la/cholesky.hpp"
@@ -145,6 +147,26 @@ TEST(Suite, SmallMatricesMatchSpecClosely) {
   EXPECT_EQ(g.n, 48);
   EXPECT_NEAR(std::log10(g.cond_measured()), std::log10(8.8e5), 0.3);
   EXPECT_NEAR(std::log10(g.lambda_max), std::log10(3.0e9), 0.15);
+}
+
+// Every generated or loaded matrix carries its content digest, computed
+// once; cache keys read that field instead of rehashing per request.
+std::uint64_t expect_digest_set(const matrices::MatrixSpec& spec) {
+  const auto g = matrices::make_suite_matrix(spec.name);
+  EXPECT_TRUE(g.digest == matrices::dense_digest(g.dense)) << spec.name;
+  return g.digest.value_or(0);
+}
+
+TEST(Suite, DenseMatricesCarryDistinctDenseDigests) {
+  std::set<std::uint64_t> seen;
+  for (const auto* specs :
+       {&matrices::table1_specs(), &matrices::general_specs()})
+    for (const auto& spec : *specs)
+      EXPECT_TRUE(seen.insert(expect_digest_set(spec)).second) << spec.name;
+}
+
+TEST(Suite, SparseOnlyMatricesCarryTheDigestOfTheirEmptyDenseImage) {
+  for (const auto& spec : matrices::large_specs()) expect_digest_set(spec);
 }
 
 TEST(Suite, CachedInstanceIsStable) {

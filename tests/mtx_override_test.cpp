@@ -38,4 +38,23 @@ TEST(MtxOverride, LoadsFileInsteadOfSynthetic) {
   unsetenv("PSTAB_MTX_DIR");
 }
 
+TEST(MtxOverride, LoadedMatrixCarriesItsDenseDigest) {
+  const std::string dir = ::testing::TempDir();
+  {
+    std::ofstream f(dir + "/bcsstk02.mtx");
+    f << "%%MatrixMarket matrix coordinate real symmetric\n"
+      << "2 2 3\n"
+      << "1 1 2.0\n2 2 3.0\n2 1 -1.0\n";
+  }
+  ASSERT_EQ(setenv("PSTAB_MTX_DIR", dir.c_str(), 1), 0);
+  const auto loaded = matrices::make_suite_matrix("bcsstk02");
+  unsetenv("PSTAB_MTX_DIR");
+  ASSERT_EQ(loaded.n, 2);
+  ASSERT_TRUE(loaded.digest.has_value());
+  EXPECT_EQ(*loaded.digest, matrices::dense_digest(loaded.dense));
+  // The synthetic stand-in is different content, so a different key.
+  const auto synth = matrices::make_suite_matrix("bcsstk02");
+  EXPECT_NE(*loaded.digest, *synth.digest);
+}
+
 }  // namespace

@@ -8,9 +8,16 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "common/parallel_for.hpp"
 #include "core/solve_api.hpp"
@@ -287,6 +294,130 @@ TEST(ServeCache, OversizedEntriesAreNeverAdmitted) {
   EXPECT_EQ(c.get("huge"), nullptr);
   EXPECT_EQ(c.stats().insertions, 0u);
   EXPECT_EQ(c.stats().bytes, 0u);
+}
+
+// Forwards to one serve::Cache and logs every key stored through it.
+class KeyLog final : public core::ArtifactCache {
+ public:
+  explicit KeyLog(serve::Cache& cache) : cache_(cache) {}
+  std::shared_ptr<const void> get(const std::string& key) override {
+    return cache_.get(key);
+  }
+  void put(const std::string& key, std::shared_ptr<const void> value,
+           std::size_t bytes) override {
+    puts.push_back(key);
+    cache_.put(key, std::move(value), bytes);
+  }
+  /// Stored keys starting with `prefix`, with their store counts.
+  [[nodiscard]] std::map<std::string, int> stored(
+      const std::string& prefix) const {
+    std::map<std::string, int> m;
+    for (const auto& k : puts)
+      if (k.rfind(prefix, 0) == 0) ++m[k];
+    return m;
+  }
+  std::vector<std::string> puts;
+
+ private:
+  serve::Cache& cache_;
+};
+
+core::SolveRequest chol_rhs(bool rescale, std::uint64_t seed) {
+  core::SolveRequest r;
+  r.solver = core::Solver::cholesky;
+  r.matrix = "bcsstk01";
+  r.rescale = rescale;
+  r.rhs_seed = seed;
+  return r;
+}
+
+TEST(ServeCache, WarmCholeskyMatchesColdAndFactorsOncePerFormat) {
+  serve::Cache cache(std::size_t(64) << 20);
+  KeyLog log(cache);
+  constexpr int kSeeds = 5;
+  for (const bool rescale : {false, true}) {
+    for (int seed = 0; seed < kSeeds; ++seed) {
+      const core::SolveRequest req = chol_rhs(rescale, std::uint64_t(seed));
+      const core::SolveResponse cold = core::run_request(req);  // cache off
+      const core::SolveResponse warm = core::run_request(req, &log);
+      ASSERT_TRUE(cold.ok) << cold.error;
+      ASSERT_TRUE(warm.ok) << warm.error;
+      EXPECT_FALSE(warm.cache_hit);  // a new RHS is new work
+      EXPECT_EQ(warm.result_json, cold.result_json)
+          << "rescale=" << rescale << " seed=" << seed;
+    }
+  }
+  // One factorization per format per scaling, whatever the RHS count, and
+  // both scalings key on the one digest of the matrix as generated.
+  const auto chol = log.stored("chol/");
+  ASSERT_FALSE(chol.empty());
+  const std::string stem = chol.begin()->first.substr(0, 21);  // chol/<hex>
+  std::map<std::string, int> expected;
+  for (const char* scaling : {"/none/", "/diag/"})
+    for (const char* fmt : {"f64", "f32", "p32_2", "p32_3"})
+      expected[stem + scaling + fmt] = 1;
+  EXPECT_EQ(chol, expected);
+  const serve::Cache::Stats st = cache.stats();
+  EXPECT_EQ(st.insertions, log.puts.size());
+  EXPECT_EQ(st.insertions, 1u + 8u + 2u * kSeeds);  // matrix, factors, resps
+  EXPECT_EQ(st.evictions, 0u);
+
+  // A budgeted request still bypasses the factor cache, whether its budget
+  // trips or not: no factor is stored, and its bytes are the cache-off ones.
+  for (const int budget : {2, 1000000}) {
+    for (const bool rescale : {false, true}) {
+      core::SolveRequest req = chol_rhs(rescale, kSeeds);
+      req.budget_ticks = budget;
+      const core::SolveResponse cold = core::run_request(req);
+      const core::SolveResponse warm = core::run_request(req, &log);
+      ASSERT_TRUE(cold.ok) << cold.error;
+      ASSERT_TRUE(warm.ok) << warm.error;
+      EXPECT_EQ(warm.result_json, cold.result_json)
+          << "budget=" << budget << " rescale=" << rescale;
+    }
+  }
+  EXPECT_EQ(log.stored("chol/"), chol);
+}
+
+// ---------------------------------------------------------------------------
+// TCP transport
+
+TEST(ServeTcp, NodelayReadsBackOnBothEndsOfALoopbackPair) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  ASSERT_EQ(::connect(client, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  const int server = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(server, 0);
+  const auto nodelay = [](int fd) {
+    int v = -1;
+    socklen_t n = sizeof v;
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &n), 0);
+    return v;
+  };
+  for (const int fd : {client, server}) {
+    EXPECT_EQ(nodelay(fd), 0);  // Nagle is on by default
+    EXPECT_TRUE(serve::set_tcp_nodelay(fd));
+    EXPECT_NE(nodelay(fd), 0);
+  }
+  EXPECT_FALSE(serve::set_tcp_nodelay(-1));
+  ::close(server);
+  ::close(client);
+  ::close(listener);
 }
 
 // ---------------------------------------------------------------------------

@@ -395,6 +395,7 @@ int cmd_serve_client(int argc, char** argv) {
     if (fd >= 0) ::close(fd);
     return 2;
   }
+  serve::set_tcp_nodelay(fd);  // one flushed frame per line: no Nagle stall
   std::FILE* out = ::fdopen(fd, "wb");
   std::FILE* in = ::fdopen(::dup(fd), "rb");
 
