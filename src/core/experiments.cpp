@@ -204,8 +204,8 @@ CholCell cholesky_in_format(const la::Dense<double>& A,
   if (cache && !factor_key.empty()) {
     fact = cache->get_or_make<la::CholResult<T>>(
         factor_key, factor, [](const la::CholResult<T>& f) {
-          return sizeof f +
-                 f.R.data().size() * sizeof(T);
+          return sizeof f + f.R.data().size() * sizeof(T) +
+                 f.profile.size() * sizeof(int);
         });
   } else {
     fact = std::make_shared<const la::CholResult<T>>(factor());
@@ -216,7 +216,9 @@ CholCell cholesky_in_format(const la::Dense<double>& A,
   if (fact->status != la::CholStatus::ok) return cell;
 
   const auto bt = la::kernels::from_double_vec<T>(b);
-  const auto x = la::solve_upper(fact->R, la::solve_lower_rt(fact->R, bt, kc), kc);
+  const auto x = la::solve_upper(
+      fact->R, la::solve_lower_rt(fact->R, bt, kc, fact->profile), kc,
+      fact->profile);
   if (!la::kernels::all_finite(x)) {
     cell.status = la::SolveStatus::arithmetic_error;
     return cell;
@@ -375,7 +377,8 @@ la::IrReport ir_one_format(const matrices::GeneratedMatrix& m,
                                         iro.kernels);
         },
         [](const la::CholResult<F>& f) {
-          return sizeof f + f.R.data().size() * sizeof(F);
+          return sizeof f + f.R.data().size() * sizeof(F) +
+                 f.profile.size() * sizeof(int);
         });
   };
 

@@ -14,6 +14,12 @@
 //    chains run over packed unit-stride panel slices and row tiles fan out
 //    across threads deterministically.
 // cholesky() dispatches on Context::block (0 = auto).
+//
+// Both schedules, the triangular solves and the backward error are bounded
+// by the column profile of the matrix (la/profile.hpp): a chain never runs
+// the leading terms whose R entries are structurally +0, and a factor row
+// never visits the columns it cannot reach.  The bytes are those of the full
+// loops (docs/solvers.md, "Profile-bounded Cholesky").
 #pragma once
 
 #include <cmath>
@@ -27,6 +33,7 @@
 #include "la/blocked.hpp"
 #include "la/dense.hpp"
 #include "la/fault.hpp"
+#include "la/profile.hpp"
 #include "la/solve_report.hpp"
 
 namespace pstab::la {
@@ -41,6 +48,9 @@ struct CholResult : SolveReport {
   double shift_used = 0.0;  // diagonal shift of the accepted attempt
                             // (cholesky_resilient; 0 = unshifted)
   Dense<T> R;  // upper triangular factor (valid when status == ok)
+  /// Column profile of the factored upper triangle (factor_profile): R is
+  /// +0 above it, so solves with this factor may bound their chains by it.
+  Profile profile;
 
   CholResult() { status = CholStatus::ok; }
 };
@@ -63,6 +73,9 @@ template <class T>
   CholResult<T> res;
   telemetry::TraceSpan span(trace, "factor");
   res.R = Dense<T>(n, n);
+  res.profile = factor_profile(A, fault != nullptr);
+  const int* pf = res.profile.data();
+  const std::vector<int> row_end = profile_row_ends(res.profile);
   Dense<T>& R = res.R;
   const T* rd = R.data().data();  // column i of R: rd + i, stride n
   for (int k = 0; k < n; ++k) {
@@ -74,9 +87,11 @@ template <class T>
       return res;
     }
     fault::on_iteration(fault, k);
-    // Diagonal pivot: A(k,k) - sum_{i<k} R(i,k)^2
-    T s = kernels::update_chain(kc, A(k, k), rd + k, n, rd + k, n,
-                                std::size_t(k), /*subtract=*/true);
+    // Diagonal pivot: A(k,k) - sum_{i<k} R(i,k)^2; R(i,k) = +0 for i < pk.
+    const int pk = pf[k];
+    T s = kernels::update_chain(kc, A(k, k), rd + std::size_t(pk) * n + k, n,
+                                rd + std::size_t(pk) * n + k, n,
+                                std::size_t(k - pk), /*subtract=*/true);
     fault::touch_scalar(fault, fault::Site::dot_result, s);
     if (!st::finite(s)) {
       res.status = CholStatus::arithmetic_error;
@@ -91,12 +106,17 @@ template <class T>
     const T rkk = st::sqrt(s);
     R(k, k) = rkk;
     // Off-diagonal row of R: R(k,j) = (A(k,j) - sum_{i<k} R(i,k) R(i,j)) / rkk
-    const std::size_t span_j = std::size_t(n - k - 1);
+    // for j < row_end[k]; beyond it R(k,j) stays +0.
+    const int je = row_end[std::size_t(k)];
+    const std::size_t span_j = std::size_t(je - k - 1);
     const auto row_sweep = [&](std::size_t lo, std::size_t hi) {
       for (std::size_t q = lo; q < hi; ++q) {
         const int j = k + 1 + int(q);
-        const T t = kernels::update_chain(kc, A(k, j), rd + k, n, rd + j, n,
-                                          std::size_t(k), /*subtract=*/true);
+        const int i0 = pk > pf[j] ? pk : pf[j];
+        const T t = kernels::update_chain(
+            kc, A(k, j), rd + std::size_t(i0) * n + k, n,
+            rd + std::size_t(i0) * n + j, n,
+            std::size_t(i0 < k ? k - i0 : 0), /*subtract=*/true);
         R(k, j) = t / rkk;
       }
     };
@@ -107,7 +127,7 @@ template <class T>
     if (k + 1 < n)
       fault::touch_range(fault, fault::Site::vector_entry, &R(k, k + 1),
                          std::size_t(n - k - 1));
-    for (int j = k + 1; j < n; ++j) {
+    for (int j = k + 1; j < je; ++j) {
       if (!st::finite(R(k, j))) {
         res.status = CholStatus::arithmetic_error;
         res.failed_column = k;
@@ -132,6 +152,11 @@ template <class T>
 ///       loop sees, in the same order.
 ///   then one trailing update: W(i,j) -= sum_{m in [p,pe)} R(m,i) R(m,j)
 ///   for i,j >= pe, row-tiled over threads.
+/// Profile bounds: a chain starts at max(p, profile[i], profile[j]), row k
+/// stops at row_end[k], and the trailing update covers only [pe, e) with
+/// e = row_end[pe - 1] (every later column is +0 in rows [p, pe)).  Each
+/// trailing row starts its chains at its own profile, so columns with a
+/// later profile run a few extra ±0 terms from an unchanged seed.
 /// On failure the returned status / failed_column match the unblocked path;
 /// R's trailing contents are unspecified (partially updated), as they are
 /// for any failed factorization.
@@ -148,6 +173,9 @@ template <class T>
   CholResult<T> res;
   telemetry::TraceSpan span(trace, "factor");
   res.R = Dense<T>(n, n);
+  res.profile = factor_profile(A, fault != nullptr);
+  const int* pf = res.profile.data();
+  const std::vector<int> row_end = profile_row_ends(res.profile);
   Dense<T>& R = res.R;
   // W lives in R's upper triangle: seed with A, accumulate trailing updates
   // in place, overwrite with factor rows as each column finalizes.
@@ -170,9 +198,10 @@ template <class T>
       fault::on_iteration(fault, k);
       // Panel-local prefix of the pivot chain (terms i < p were applied by
       // earlier trailing updates and live in the seed).
-      T s = kernels::update_chain(kc, R(k, k), rd + std::size_t(p) * n + k, n,
-                                  rd + std::size_t(p) * n + k, n,
-                                  std::size_t(k - p), /*subtract=*/true);
+      const int pk = pf[k] > p ? pf[k] : p;
+      T s = kernels::update_chain(kc, R(k, k), rd + std::size_t(pk) * n + k,
+                                  n, rd + std::size_t(pk) * n + k, n,
+                                  std::size_t(k - pk), /*subtract=*/true);
       fault::touch_scalar(fault, fault::Site::dot_result, s);
       if (!st::finite(s)) {
         res.status = CholStatus::arithmetic_error;
@@ -186,14 +215,16 @@ template <class T>
       }
       const T rkk = st::sqrt(s);
       R(k, k) = rkk;
-      const std::size_t span_j = std::size_t(n - k - 1);
+      const int je = row_end[std::size_t(k)];
+      const std::size_t span_j = std::size_t(je - k - 1);
       const auto row_sweep = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t q = lo; q < hi; ++q) {
           const int j = k + 1 + int(q);
+          const int i0 = pk > pf[j] ? pk : pf[j];
           const T t = kernels::update_chain(
-              kc, R(k, j), rd + std::size_t(p) * n + k, n,
-              rd + std::size_t(p) * n + j, n, std::size_t(k - p),
-              /*subtract=*/true);
+              kc, R(k, j), rd + std::size_t(i0) * n + k, n,
+              rd + std::size_t(i0) * n + j, n,
+              std::size_t(i0 < k ? k - i0 : 0), /*subtract=*/true);
           R(k, j) = t / rkk;
         }
       };
@@ -204,7 +235,7 @@ template <class T>
       if (k + 1 < n)
         fault::touch_range(fault, fault::Site::vector_entry, &R(k, k + 1),
                            std::size_t(n - k - 1));
-      for (int j = k + 1; j < n; ++j) {
+      for (int j = k + 1; j < je; ++j) {
         if (!st::finite(R(k, j))) {
           res.status = CholStatus::arithmetic_error;
           res.failed_column = k;
@@ -212,8 +243,9 @@ template <class T>
         }
       }
     }
-    if (pe < n) {
-      const std::size_t m = std::size_t(n - pe);  // trailing order
+    const int e = row_end[std::size_t(pe - 1)];  // trailing extent
+    if (pe < e) {
+      const std::size_t m = std::size_t(e - pe);  // trailing order
       panel.assign(m * w, st::zero());
       const auto pack = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t q = lo; q < hi; ++q) {
@@ -228,11 +260,25 @@ template <class T>
         pack(0, m);
       // Trailing update, symmetric: a-slice for row r and b-slice for column
       // c are the same packed panel column, so one buffer serves both sides.
+      // Consecutive rows with the same chain start share one kernel call
+      // (a full profile is one call per tile).
       const auto trail = [&](std::size_t lo, std::size_t hi) {
-        kernels::syrk_update(kc, rd, std::size_t(n), pe + int(lo),
-                             pe + int(hi), pe, n, panel.data() + lo * w,
-                             std::size_t(w), panel.data(), std::size_t(w),
-                             std::size_t(w), /*subtract=*/true);
+        const auto start = [&](int r) {
+          const int o = pf[r] - p;
+          return o < 0 ? 0 : (o > w ? w : o);
+        };
+        for (int r = pe + int(lo), rhi = pe + int(hi); r < rhi;) {
+          const int o = start(r);
+          int r1 = r + 1;
+          while (r1 < rhi && start(r1) == o) ++r1;
+          if (o < w)
+            kernels::syrk_update(
+                kc, rd, std::size_t(n), r, r1, pe, e,
+                panel.data() + std::size_t(r - pe) * w + o, std::size_t(w),
+                panel.data() + o, std::size_t(w), std::size_t(w - o),
+                /*subtract=*/true);
+          r = r1;
+        }
       };
       if (m >= blocked::kParMinTrailRows)
         pstab::parallel_tiles(m, blocked::kTrailTile, trail);
@@ -312,37 +358,99 @@ template <class T>
   return out;
 }
 
-/// Solve R^T y = b (forward substitution; R upper triangular).
+namespace detail {
+
+/// Forward substitution R^T y = b with each chain starting at prof[i]
+/// (nullptr = 0): R(j,i) = +0 for j < prof[i], so the skipped terms are ±0
+/// products while y is finite.  A −0 seed runs the full chain.
 template <class T>
-[[nodiscard]] Vec<T> solve_lower_rt(const Dense<T>& R, const Vec<T>& b,
-                                    const kernels::Context& kc = {}) {
+[[nodiscard]] Vec<T> lower_rt_pass(const Dense<T>& R, const Vec<T>& b,
+                                   const kernels::Context& kc,
+                                   const int* prof) {
   const int n = R.rows();
   const T* rd = R.data().data();
   Vec<T> y(n);
   for (int i = 0; i < n; ++i) {
     // s = b[i] - sum_{j<i} R(j,i) y[j]
-    const T s = kernels::update_chain(kc, b[i], rd + i, n, y.data(), 1,
-                                      std::size_t(i), /*subtract=*/true);
+    const int lo = prof && !is_neg_zero(b[i]) ? prof[i] : 0;
+    const T s = kernels::update_chain(kc, b[i], rd + std::size_t(lo) * n + i,
+                                      n, y.data() + lo, 1, std::size_t(i - lo),
+                                      /*subtract=*/true);
     y[i] = s / R(i, i);
   }
   return y;
 }
 
-/// Solve R x = y (backward substitution; R upper triangular).
+/// Backward substitution R x = y with row i's chain stopping at
+/// row_end[i] (nullptr = n): the skipped tail is ±0 products while x is
+/// finite, which leave the running value unchanged unless it is −0 — then
+/// the tail is run after all.
 template <class T>
-[[nodiscard]] Vec<T> solve_upper(const Dense<T>& R, const Vec<T>& y,
-                                 const kernels::Context& kc = {}) {
+[[nodiscard]] Vec<T> upper_pass(const Dense<T>& R, const Vec<T>& y,
+                                const kernels::Context& kc,
+                                const int* row_end) {
   const int n = R.rows();
   const T* rd = R.data().data();
   Vec<T> x(n);
   for (int i = n - 1; i >= 0; --i) {
     // s = y[i] - sum_{j>i} R(i,j) x[j]
-    const T s = kernels::update_chain(
-        kc, y[i], rd + std::size_t(i) * n + (i + 1), 1, x.data() + (i + 1), 1,
-        std::size_t(n - 1 - i), /*subtract=*/true);
+    const T* row = rd + std::size_t(i) * n;
+    const int hi = row_end ? row_end[i] : n;
+    T s = kernels::update_chain(kc, y[i], row + (i + 1), 1, x.data() + (i + 1),
+                                1, std::size_t(hi - 1 - i), /*subtract=*/true);
+    if (hi < n && is_neg_zero(s))
+      s = kernels::update_chain(kc, s, row + hi, 1, x.data() + hi, 1,
+                                std::size_t(n - hi), /*subtract=*/true);
     x[i] = s / R(i, i);
   }
   return x;
+}
+
+}  // namespace detail
+
+/// Solve R^T y = b (forward substitution; R upper triangular) with the
+/// chains bounded by `prof`, R's column profile (CholResult::profile; empty
+/// = full).  A result holding a non-finite entry is recomputed with full
+/// chains (0 * Inf = NaN); !profile_bounds() uses full chains.
+template <class T>
+[[nodiscard]] Vec<T> solve_lower_rt(const Dense<T>& R, const Vec<T>& b,
+                                    const kernels::Context& kc,
+                                    const Profile& prof) {
+  if (!prof.empty() && profile_bounds()) {
+    Vec<T> y = detail::lower_rt_pass(R, b, kc, prof.data());
+    if (kernels::all_finite(y)) return y;
+  }
+  return detail::lower_rt_pass(R, b, kc, nullptr);
+}
+
+/// Solve R^T y = b, bounded by the profile of R itself.
+template <class T>
+[[nodiscard]] Vec<T> solve_lower_rt(const Dense<T>& R, const Vec<T>& b,
+                                    const kernels::Context& kc = {}) {
+  return solve_lower_rt(R, b, kc,
+                        profile_bounds() ? upper_profile(R) : Profile{});
+}
+
+/// Solve R x = y (backward substitution; R upper triangular) with the
+/// chains bounded by `prof` (same contract as solve_lower_rt).
+template <class T>
+[[nodiscard]] Vec<T> solve_upper(const Dense<T>& R, const Vec<T>& y,
+                                 const kernels::Context& kc,
+                                 const Profile& prof) {
+  if (!prof.empty() && profile_bounds()) {
+    Vec<T> x =
+        detail::upper_pass(R, y, kc, profile_row_ends(prof).data());
+    if (kernels::all_finite(x)) return x;
+  }
+  return detail::upper_pass(R, y, kc, nullptr);
+}
+
+/// Solve R x = y, bounded by the profile of R itself.
+template <class T>
+[[nodiscard]] Vec<T> solve_upper(const Dense<T>& R, const Vec<T>& y,
+                                 const kernels::Context& kc = {}) {
+  return solve_upper(R, y, kc,
+                     profile_bounds() ? upper_profile(R) : Profile{});
 }
 
 /// Full direct solve of A x = b via Cholesky in format T.
@@ -351,7 +459,8 @@ template <class T>
     const Dense<T>& A, const Vec<T>& b, const kernels::Context& kc = {}) {
   auto f = cholesky(A, nullptr, kc);
   if (f.status != CholStatus::ok) return std::nullopt;
-  return solve_upper(f.R, solve_lower_rt(f.R, b, kc), kc);
+  return solve_upper(f.R, solve_lower_rt(f.R, b, kc, f.profile), kc,
+                     f.profile);
 }
 
 /// How factorization_backward_error evaluates ||R^T R - A||_F / ||A||_F.
@@ -374,12 +483,26 @@ struct BerrOptions {
 
 /// Factorization backward error ||R^T R - A||_F / ||A||_F, evaluated in
 /// double (paper Fig. 10(b) metric).  Deterministic for any PSTAB_THREADS.
+/// Each (R^T R)_{ij} sum starts at k = max(profile[i], profile[j]) of R's own
+/// profile: the skipped terms are ±0 products, and a double sum that starts
+/// at +0 stays +0 through them.  A non-finite entry in R (0 * Inf = NaN) or
+/// !profile_bounds() takes the full sums.
 template <class T>
 [[nodiscard]] double factorization_backward_error(
     const Dense<T>& A, const Dense<T>& R, const BerrOptions& opt) {
   using st = scalar_traits<T>;
   const int n = A.rows();
   if (n == 0) return 0.0;
+  Profile prof = upper_profile(R);
+  bool full = !profile_bounds();
+  for (int i = 0; i < n && !full; ++i)
+    for (int j = i; j < n; ++j)
+      if (!st::finite(R(i, j))) {
+        full = true;
+        break;
+      }
+  if (full) prof = full_profile(n);
+  const int* pf = prof.data();
   const bool sampled =
       opt.mode == BerrOptions::Mode::sampled ||
       (opt.mode == BerrOptions::Mode::auto_mode && n > opt.auto_exact_max_n);
@@ -398,7 +521,7 @@ template <class T>
         const int j = int(rng.below(std::uint64_t(n)));
         double rtr = 0;
         const int kmax = i < j ? i : j;
-        for (int k = 0; k <= kmax; ++k)
+        for (int k = pf[i] > pf[j] ? pf[i] : pf[j]; k <= kmax; ++k)
           rtr += st::to_double(R(k, i)) * st::to_double(R(k, j));
         const double a = st::to_double(A(i, j));
         nums[s] = (rtr - a) * (rtr - a);
@@ -428,9 +551,12 @@ template <class T>
     double num = 0, den = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       for (int j = 0; j < n; ++j) {
-        double rtr = 0;
         const int kmax = int(i) < j ? int(i) : j;
-        for (int k = 0; k <= kmax; ++k)
+        const int k0 = pf[i] > pf[j] ? pf[i] : pf[j];
+        // No terms and A(i, j) = +0: the cell adds +0 to both sums.
+        if (k0 > kmax && bitwise_pos_zero(A(int(i), j))) continue;
+        double rtr = 0;
+        for (int k = k0; k <= kmax; ++k)
           rtr += st::to_double(R(k, int(i))) * st::to_double(R(k, j));
         const double a = st::to_double(A(int(i), j));
         num += (rtr - a) * (rtr - a);

@@ -163,7 +163,8 @@ IrReport gmres_ir(const Dense<double>& A, const Vec<double>& b,
     rep.factorization_error = factorization_backward_error(Ah, fact.R);
   const Dense<double> R = fact.R.template cast<double>();
   const auto minv = [&](const Vec<double>& v) {
-    return solve_upper(R, solve_lower_rt(R, v));
+    return solve_upper(R, solve_lower_rt(R, v, {}, fact.profile), {},
+                       fact.profile);
   };
 
   const double norm_a = kernels::norm_inf(A);

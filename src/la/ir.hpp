@@ -32,14 +32,17 @@ enum class ResidualPrec { working, dd, quire };
   return "?";
 }
 
+/// `ext` (row_extents(A)), when given, bounds the working-precision
+/// residual's rows; the bytes are those of the full rows.
 inline Vec<double> ir_residual(const Dense<double>& A, const Vec<double>& b,
-                               const Vec<double>& x, ResidualPrec p) {
+                               const Vec<double>& x, ResidualPrec p,
+                               const RowExtents* ext = nullptr) {
   switch (p) {
     case ResidualPrec::dd: return mp::dd_residual(A, b, x);
     case ResidualPrec::quire: return mp::quire_residual(A, b, x);
     case ResidualPrec::working: break;
   }
-  return residual(A, b, x);
+  return ext ? residual(A, b, x, *ext) : residual(A, b, x);
 }
 
 // IrStatus is la::SolveStatus (solve_report.hpp); IR uses `converged`,
@@ -126,6 +129,7 @@ IrReport mixed_ir(const Dense<double>& A, const Vec<double>& b,
   telemetry::TraceSpan refine_span(tr, "refine");
   const double norm_a = kernels::norm_inf(A);
   const double norm_b = kernels::norm_inf_d(b);
+  const RowExtents a_ext = row_extents(A);
   x.assign(n, 0.0);
 
   double first_berr = -1.0;
@@ -137,7 +141,7 @@ IrReport mixed_ir(const Dense<double>& A, const Vec<double>& b,
       return rep;
     }
     fault::on_iteration(opt.fault, it - 1);
-    Vec<double> r = ir_residual(A, b, x, opt.residual);
+    Vec<double> r = ir_residual(A, b, x, opt.residual, &a_ext);
     fault::touch_range(opt.fault, fault::Site::vector_entry, r.data(),
                        r.size());
     // Correction solve: plain  R^T R d = r, or through Higham's scaling:
@@ -146,13 +150,14 @@ IrReport mixed_ir(const Dense<double>& A, const Vec<double>& b,
     if (hs) {
       for (int i = 0; i < n; ++i) rhs[i] = hs->mu * hs->rdiag[i] * r[i];
     }
-    Vec<double> d = solve_upper(R, solve_lower_rt(R, rhs));
+    Vec<double> d = solve_upper(R, solve_lower_rt(R, rhs, {}, fact.profile),
+                                {}, fact.profile);
     if (hs) {
       for (int i = 0; i < n; ++i) d[i] *= hs->rdiag[i];
     }
     for (int i = 0; i < n; ++i) x[i] += d[i];
 
-    Vec<double> r2 = ir_residual(A, b, x, opt.residual);
+    Vec<double> r2 = ir_residual(A, b, x, opt.residual, &a_ext);
     double berr =
         kernels::norm_inf_d(r2) / (norm_a * kernels::norm_inf_d(x) + norm_b);
     // The berr reduction is IR's dot_result site: a flipped monitor can fake

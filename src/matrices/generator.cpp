@@ -91,7 +91,9 @@ GeneratedMatrix generate_spd(const MatrixSpec& spec, int size_cap) {
   if (fact.status != la::CholStatus::ok)
     throw std::runtime_error(spec.name + ": synthetic base not SPD");
   const auto solve = [&](const la::Vec<double>& v) {
-    return la::solve_upper(fact.R, la::solve_lower_rt(fact.R, v));
+    return la::solve_upper(
+        fact.R, la::solve_lower_rt(fact.R, v, {}, fact.profile), {},
+        fact.profile);
   };
   double lmin =
       la::kernels::lambda_min_est(n, solve, 400, 3 + unsigned(name_seed(spec.name)));
@@ -206,7 +208,9 @@ GeneratedMatrix generate_general(const MatrixSpec& spec, int size_cap) {
   if (fact.status != la::CholStatus::ok)
     throw std::runtime_error(spec.name + ": general stand-in numerically singular");
   const auto solve = [&](const la::Vec<double>& v2) {
-    return la::solve_upper(fact.R, la::solve_lower_rt(fact.R, v2));
+    return la::solve_upper(
+        fact.R, la::solve_lower_rt(fact.R, v2, {}, fact.profile), {},
+        fact.profile);
   };
   const double lmin_ata = la::kernels::lambda_min_est(
       n, solve, 400, 3 + unsigned(name_seed(spec.name)));

@@ -385,7 +385,7 @@ std::vector<std::string> Engine::run_script(const std::string& jsonl) {
 }
 
 bool Engine::serve_tcp(int port, bool once, std::string& err,
-                       int* bound_port) {
+                       std::atomic<int>* bound_port) {
   // A client closing its read side must surface as an EPIPE write error on
   // that one connection, not a process-killing SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
@@ -411,7 +411,7 @@ bool Engine::serve_tcp(int port, bool once, std::string& err,
     sockaddr_in got{};
     socklen_t len = sizeof got;
     if (::getsockname(listener, reinterpret_cast<sockaddr*>(&got), &len) == 0)
-      *bound_port = int(ntohs(got.sin_port));
+      bound_port->store(int(ntohs(got.sin_port)), std::memory_order_release);
   }
   bool stop = false;
   while (!stop) {

@@ -25,6 +25,7 @@
 // interleave arbitrarily; correlate by id.  run_script sorts for you.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -136,8 +137,9 @@ class Engine {
   /// submission order), so script output is deterministic.
   [[nodiscard]] std::vector<std::string> run_script(const std::string& jsonl);
 
-  /// Loopback TCP listener on `port` (0 picks a free port, reported through
-  /// `bound_port` when non-null); each connection is served with
+  /// Loopback TCP listener on `port` (0 picks a free port, published through
+  /// `bound_port` when non-null, with release ordering, before the first
+  /// accept; another thread may poll it); each connection is served with
   /// serve_stream.  SIGPIPE is ignored so a client vanishing mid-write
   /// surfaces as an EPIPE write error on that connection only; per-connection
   /// failures (fdopen, aborted accepts, dead writers) close that connection
@@ -145,7 +147,7 @@ class Engine {
   /// "shutdown" op exits too.  Returns false with `err` set only on listener
   /// failure.  (POSIX only.)
   bool serve_tcp(int port, bool once, std::string& err,
-                 int* bound_port = nullptr);
+                 std::atomic<int>* bound_port = nullptr);
 
  private:
   struct Batch {
