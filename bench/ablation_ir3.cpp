@@ -6,7 +6,7 @@
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
 #include "ieee/softfloat.hpp"
-#include "la/ir3.hpp"
+#include "la/ir.hpp"
 #include "scaling/higham.hpp"
 
 namespace {
@@ -30,10 +30,12 @@ int main() {
   for (const auto* m : bench::suite()) {
     const auto b = matrices::paper_rhs(m->dense);
     la::Vec<double> x;
+    la::IrOptions dd;
+    dd.residual = la::ResidualPrec::dd;
     const auto f2 = la::mixed_ir<Half>(m->dense, b, x);
-    const auto f3 = la::mixed_ir3<Half>(m->dense, b, x);
+    const auto f3 = la::mixed_ir<Half>(m->dense, b, x, dd);
     const auto p2 = la::mixed_ir<Posit16_1>(m->dense, b, x);
-    const auto p3 = la::mixed_ir3<Posit16_1>(m->dense, b, x);
+    const auto p3 = la::mixed_ir<Posit16_1>(m->dense, b, x, dd);
     t.row({m->spec.name, cell(f2), cell(f3), cell(p2), cell(p3),
            core::fmt_sci(f2.final_berr, 1), core::fmt_sci(f3.final_berr, 1)});
   }

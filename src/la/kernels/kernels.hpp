@@ -26,10 +26,6 @@
 // Telemetry: when telemetry::active(), every dispatch falls back to the
 // scalar path so the per-op/per-encode counters record exactly the totals the
 // scalar kernels would — the batched path skips the instrumented tailpaths.
-//
-// The old free functions (la::dot, la::axpy, ... in vector_ops.hpp/fused.hpp/
-// norms.hpp) forward here with a default context; define
-// PSTAB_DEPRECATE_FREE_KERNELS to mark them [[deprecated]].
 #pragma once
 
 #include <atomic>
@@ -45,13 +41,6 @@
 #include "core/telemetry/telemetry.hpp"
 #include "la/kernels/batched.hpp"
 #include "la/kernels/simd/simd.hpp"
-
-#if defined(PSTAB_DEPRECATE_FREE_KERNELS)
-#define PSTAB_KERNELS_DEPRECATED \
-  [[deprecated("use the la::kernels Context entry points")]]
-#else
-#define PSTAB_KERNELS_DEPRECATED
-#endif
 
 namespace pstab::la {
 

@@ -1,8 +1,7 @@
 // Matrix norms and conditioning estimates (always computed in double; these
-// characterize the PROBLEM, not the format under test).  Owned by the
-// la::kernels namespace alongside the other kernels; the unqualified names
-// remain as forwarders.  Double is a scalar-only backend, so these take no
-// Context.
+// characterize the PROBLEM, not the format under test).  They live in the
+// la::kernels namespace alongside the other kernels; double is a scalar-only
+// backend, so these take no Context.
 #pragma once
 
 #include <cmath>
@@ -92,28 +91,4 @@ double lambda_min_est(int n, const Solve& solve, int iters = 300,
 }
 
 }  // namespace kernels
-
-PSTAB_KERNELS_DEPRECATED inline double norm_inf(const Dense<double>& A) {
-  return kernels::norm_inf(A);
-}
-PSTAB_KERNELS_DEPRECATED inline double norm_inf(const Csr<double>& A) {
-  return kernels::norm_inf(A);
-}
-PSTAB_KERNELS_DEPRECATED inline double norm_frob(const Dense<double>& A) {
-  return kernels::norm_frob(A);
-}
-
-template <class Mat>
-PSTAB_KERNELS_DEPRECATED double norm2_est(const Mat& A, int iters = 300,
-                                          unsigned seed = 12345) {
-  return kernels::norm2_est(A, iters, seed);
-}
-
-template <class Solve>
-PSTAB_KERNELS_DEPRECATED double lambda_min_est(int n, const Solve& solve,
-                                               int iters = 300,
-                                               unsigned seed = 54321) {
-  return kernels::lambda_min_est(n, solve, iters, seed);
-}
-
 }  // namespace pstab::la

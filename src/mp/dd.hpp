@@ -2,7 +2,7 @@
 // error-free transforms.  Carson & Higham's three-precision IR analysis
 // (which the paper's §V-D cites) calls for computing residuals at TWICE the
 // working precision; DD is the standard software realization, and
-// la/ir3.hpp uses it for the residual stage.
+// la::mixed_ir uses it for the ResidualPrec::dd residual stage.
 #pragma once
 
 #include <cmath>

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "ieee/softfloat.hpp"
@@ -260,19 +261,27 @@ struct ThreadsGuard {
 };
 
 TEST(ThreadDeterminism, BlockedFactorsIdenticalAcrossThreadCounts) {
+  // At every worker count the blocked schedule must reproduce the unblocked
+  // reference loops bit for bit, for a double and a posit factor.
   const int n = 260;  // above kAutoMinN, with spans crossing the par gates
+  ASSERT_GT(la::blocked::effective_block(ker::Context{}, n), 0);
   const auto A = rand_spd<double>(n, 21);
+  const auto P = rand_spd<Posit32_2>(n, 23);
   const auto G = rand_general<double>(n, 22);
-  Dense<double> r1, l1;
+  Dense<double> r_ref, l_ref;
+  Dense<Posit32_2> p_ref;
   {
     ThreadsGuard g("1");
-    r1 = la::cholesky(A).R;
-    l1 = la::lu_factor(G).lu;
+    r_ref = la::cholesky_unblocked(A).R;
+    p_ref = la::cholesky_unblocked(P).R;
+    l_ref = la::lu_factor_unblocked(G).lu;
   }
-  {
-    ThreadsGuard g("8");
-    EXPECT_TRUE(bits_equal(la::cholesky(A).R, r1));
-    EXPECT_TRUE(bits_equal(la::lu_factor(G).lu, l1));
+  for (const char* threads : {"1", "8", "32"}) {
+    SCOPED_TRACE(std::string("PSTAB_THREADS=") + threads);
+    ThreadsGuard g(threads);
+    EXPECT_TRUE(bits_equal(la::cholesky(A).R, r_ref));
+    EXPECT_TRUE(bits_equal(la::cholesky(P).R, p_ref));
+    EXPECT_TRUE(bits_equal(la::lu_factor(G).lu, l_ref));
   }
 }
 
@@ -287,16 +296,18 @@ TEST(ThreadDeterminism, SpmvBytesIdenticalAcrossThreadCounts) {
   std::mt19937_64 rng(33);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
   for (auto& v : x) v = dist(rng);
-  Vec<double> y1, y8;
+  Vec<double> y1;
   {
     ThreadsGuard t("1");
     g.csr.spmv(x, y1);
   }
-  {
-    ThreadsGuard t("8");
-    g.csr.spmv(x, y8);
+  for (const char* threads : {"8", "32"}) {
+    SCOPED_TRACE(std::string("PSTAB_THREADS=") + threads);
+    ThreadsGuard t(threads);
+    Vec<double> yt;
+    g.csr.spmv(x, yt);
+    EXPECT_TRUE(bits_equal(y1, yt));
   }
-  EXPECT_TRUE(bits_equal(y1, y8));
 }
 
 TEST(ThreadDeterminism, DenseGemvBytesIdenticalAcrossThreadCounts) {

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <regex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "common/parallel_for.hpp"
 #include "core/experiments.hpp"
 #include "core/histogram.hpp"
-#include "core/kernels_bench.hpp"
 #include "core/precision.hpp"
 #include "core/report_json.hpp"
 #include "la/cholesky.hpp"
@@ -279,10 +277,8 @@ TEST(ExperimentGrid, CholeskySuiteDeterministicAcrossThreadCounts) {
 
 // ---------------------------------------------------------------------------
 // Artifact byte-determinism: pstab-results-v1 documents promise that nothing
-// time- or thread-dependent lands in the file.  The kernels bench document
-// necessarily carries throughput numbers, so its VALUE fields are compared
-// after masking the timing keys; solver documents must be byte-identical
-// outright — whatever PSTAB_THREADS says and whichever vector ISA executed.
+// time- or thread-dependent lands in the file — whatever PSTAB_THREADS says
+// and whichever vector ISA executed.
 
 namespace simd = pstab::la::kernels::simd;
 
@@ -292,40 +288,6 @@ class ForcedIsa {
   explicit ForcedIsa(simd::Isa i) { simd::force_isa(i); }
   ~ForcedIsa() { simd::clear_forced_isa(); }
 };
-
-/// Neutralize the throughput fields (and the host-dependent ISA tag) of a
-/// kernels bench document, leaving every value field — n, kernel, format,
-/// and both bit-identity verdicts — intact for exact comparison.
-std::string mask_timing(std::string s) {
-  static const std::regex kTiming(
-      "\"(scalar_mops|batched_mops|simd_mops|speedup|simd_speedup)\":"
-      "[^,}\\]]*");
-  s = std::regex_replace(s, kTiming, "\"$1\":0");
-  static const std::regex kIsa("\"simd_isa\":\"[a-z0-9]*\"");
-  return std::regex_replace(s, kIsa, "\"simd_isa\":\"-\"");
-}
-
-TEST(ArtifactDeterminism, KernelsBenchValueFieldsAcrossThreadsAndIsa) {
-  const auto doc = [] {
-    return core::kernels_results_json(core::run_kernels_bench(128, 8), 128);
-  };
-  std::string t1, t8, iso;
-  {
-    ThreadsEnv env("1");
-    t1 = doc();
-  }
-  {
-    ThreadsEnv env("8");
-    t8 = doc();
-  }
-  {
-    ThreadsEnv env("1");
-    ForcedIsa f(simd::Isa::kScalar);  // vector legs routed to the scalar core
-    iso = doc();
-  }
-  EXPECT_EQ(mask_timing(t1), mask_timing(t8));
-  EXPECT_EQ(mask_timing(t1), mask_timing(iso));
-}
 
 TEST(ArtifactDeterminism, CgResultsByteIdenticalAcrossIsaAndThreads) {
   // The strongest form of the SIMD bit-identity contract: a whole CG

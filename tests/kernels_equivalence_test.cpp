@@ -516,6 +516,66 @@ TEST(SimdEquivalence, NaRPropagationPerIsa) {
 }
 
 // ---------------------------------------------------------------------------
+// dot / axpy / gemv over posit16_1, posit32_2 and half at 128 and at 4096
+// elements (gemv 256 x 4096 reaches the row-tile threshold): every backend
+// must match the scalar loops bit for bit at 1 and 8 workers and with the
+// vector legs routed through the scalar ISA.
+
+template <class T>
+void check_backend_grid() {
+  const ker::Context kAuto{ker::Backend::Auto};
+  for (const int n : {128, 4096}) {
+    const int rows = n >= 4096 ? 256 : 8;
+    for (const bool specials : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (specials ? " specials" : " random"));
+      const auto x = rand_vec<T>(n, specials ? 4101 : 4100, specials);
+      const auto y = rand_vec<T>(n, specials ? 4201 : 4200, specials);
+      const T alpha = scalar_traits<T>::from_double(-0.625);
+      std::mt19937_64 rng(4300 + n);
+      std::uniform_real_distribution<double> dist(-1.0, 1.0);
+      la::Dense<double> Ad(rows, n);
+      for (int i = 0; i < rows; ++i)
+        for (int j = 0; j < n; ++j) Ad(i, j) = dist(rng);
+      const auto A = Ad.template cast<T>();
+
+      const T dot_ref = ker::dot(kScalar, x, y);
+      auto axpy_ref = y;
+      ker::axpy(kScalar, alpha, x, axpy_ref);
+      la::Vec<T> gemv_ref;
+      ker::gemv(kScalar, A, x, gemv_ref);
+      for (const ker::Context& kc : {kBatched, kSimd, kAuto}) {
+        SCOPED_TRACE(ker::to_string(kc.backend));
+        EXPECT_TRUE(bits_equal(ker::dot(kc, x, y), dot_ref));
+        auto ya = y;
+        ker::axpy(kc, alpha, x, ya);
+        EXPECT_TRUE(bits_equal(ya, axpy_ref));
+        la::Vec<T> yg;
+        ker::gemv(kc, A, x, yg);
+        EXPECT_TRUE(bits_equal(yg, gemv_ref));
+      }
+    }
+  }
+}
+
+TEST(KernelsEquivalence, BackendGridAcrossThreadsAndIsa) {
+  const auto grid = [] {
+    check_backend_grid<Posit16_1>();
+    check_backend_grid<Posit32_2>();
+    check_backend_grid<Half>();
+  };
+  for (const char* threads : {"1", "8"}) {
+    SCOPED_TRACE(std::string("PSTAB_THREADS=") + threads);
+    ThreadsEnv env(threads);
+    grid();
+  }
+  SCOPED_TRACE("forced scalar ISA");
+  ThreadsEnv env("1");
+  ForcedIsa f(simd::Isa::kScalar);
+  grid();
+}
+
+// ---------------------------------------------------------------------------
 // Dispatch routing for the Simd backend.
 
 TEST(SimdDispatch, ExplicitBackendRoutesWhenIsaActive) {

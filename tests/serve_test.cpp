@@ -618,24 +618,39 @@ class ThreadsEnv {
 };
 
 TEST(ServeEngine, ResponsesAreByteIdenticalAcrossThreadCounts) {
+  // A cg / cholesky / ir mix, replayed cold and then warm on one engine per
+  // thread count: the warm pass is answered from the memo and caches with
+  // the cold bytes, and every pass matches the single-thread one.
   std::string script;
-  for (std::uint64_t id = 1; id <= 8; ++id) {
+  for (std::uint64_t id = 1; id <= 10; ++id) {
     serve::Request req;
     req.solve = small_cg(id, id % 3);
-    req.solve.solver = (id % 2 != 0u) ? core::Solver::cg : core::Solver::cholesky;
-    req.solve.rescale = id % 4 == 0;
+    req.solve.solver = id > 8            ? core::Solver::ir
+                       : (id % 2 != 0u) ? core::Solver::cg
+                                        : core::Solver::cholesky;
+    req.solve.rescale = id % 4 == 0 || id == 10;
     script += serve::request_to_json(req);
     script += '\n';
   }
   const auto run = [&](const char* threads) {
     ThreadsEnv env(threads);
     serve::Engine engine;  // threads = 0: latches PSTAB_THREADS
-    return engine.run_script(script);
+    const std::vector<std::string> cold = engine.run_script(script);
+    const serve::EngineStats before = engine.stats();
+    const std::vector<std::string> warm = engine.run_script(script);
+    const serve::EngineStats after = engine.stats();
+    EXPECT_EQ(warm, cold) << "PSTAB_THREADS=" << threads;
+    EXPECT_GT(after.memo_hits + after.cache.hits,
+              before.memo_hits + before.cache.hits)
+        << "PSTAB_THREADS=" << threads;
+    return cold;
   };
   const std::vector<std::string> one = run("1");
-  const std::vector<std::string> eight = run("8");
-  ASSERT_EQ(one.size(), 8u);
-  EXPECT_EQ(one, eight);
+  ASSERT_EQ(one.size(), 10u);
+  for (const std::string& line : one)
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  EXPECT_EQ(run("8"), one);
+  EXPECT_EQ(run("32"), one);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 #include "common/instrumented.hpp"
 #include "ieee/softfloat.hpp"
 #include "la/gmres.hpp"
-#include "la/ir3.hpp"
+#include "la/ir.hpp"
 #include "la/pcg.hpp"
 #include "matrices/generator.hpp"
 #include "mp/dd.hpp"
@@ -182,7 +182,9 @@ TEST(Ir3, ConvergesWithSmallBackwardError) {
   const auto b = matrices::paper_rhs(g.dense);
   la::Vec<double> x;
   const auto r2 = la::mixed_ir<Half>(g.dense, b, x);
-  const auto r3 = la::mixed_ir3<Half>(g.dense, b, x);
+  la::IrOptions dd;
+  dd.residual = la::ResidualPrec::dd;
+  const auto r3 = la::mixed_ir<Half>(g.dense, b, x, dd);
   ASSERT_EQ(r3.status, la::IrStatus::converged);
   ASSERT_EQ(r2.status, la::IrStatus::converged);
   EXPECT_LE(r3.final_berr, r2.final_berr * 1.5);  // never meaningfully worse

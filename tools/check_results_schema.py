@@ -159,95 +159,6 @@ def check_file(path):
         if not isinstance(rows, list) or not rows:
             fail(path, "rows must be a non-empty array")
         for i, row in enumerate(rows):
-            if experiment == "kernels":
-                # Backend micro-benchmark rows (core/kernels_bench.cpp):
-                # no matrix, one row per (kernel, format) pair.  The options
-                # object must name the vector ISA the simd column ran on.
-                isa = doc["options"].get("simd_isa")
-                if isa not in ("scalar", "avx2", "avx512", "neon"):
-                    fail(path, f"options: unknown simd_isa {isa!r}")
-                for key in ("kernel", "format", "n", "scalar_mops",
-                            "batched_mops", "simd_mops", "speedup",
-                            "simd_speedup", "identical", "simd_identical"):
-                    if key not in row:
-                        fail(path, f"rows[{i}]: missing '{key}'")
-                if not isinstance(row["n"], int) or row["n"] <= 0:
-                    fail(path, f"rows[{i}]: n must be a positive integer")
-                for key in ("identical", "simd_identical"):
-                    if not isinstance(row[key], bool):
-                        fail(path, f"rows[{i}]: {key} must be a boolean")
-                if row["identical"] is not True:
-                    fail(path, f"rows[{i}]: batched backend diverged from "
-                               f"scalar ({row['kernel']}/{row['format']})")
-                if row["simd_identical"] is not True:
-                    fail(path, f"rows[{i}]: simd backend diverged from "
-                               f"scalar ({row['kernel']}/{row['format']})")
-                continue
-            if experiment == "blocked":
-                # bench/perf_blocked.cpp rows: "speedup" compares the
-                # unblocked and blocked schedules at one thread, "scaling"
-                # re-runs the blocked schedule across thread counts, "spmv"
-                # is the large-tier Csr::spmv curve.  Identity booleans are
-                # load-bearing: a False means the blocked schedule or the
-                # thread count changed result bits, which the contract
-                # (la/blocked.hpp) forbids.
-                if not isinstance(doc["options"].get("block"), int) \
-                        or doc["options"]["block"] <= 0:
-                    fail(path, "options: block must be a positive integer")
-                kind = row.get("kind")
-                if kind not in ("speedup", "scaling", "spmv"):
-                    fail(path, f"rows[{i}]: unknown kind {kind!r}")
-                for key in ("op", "format", "n", "threads"):
-                    if key not in row:
-                        fail(path, f"rows[{i}]: missing '{key}'")
-                if not isinstance(row["n"], int) or row["n"] <= 0:
-                    fail(path, f"rows[{i}]: n must be a positive integer")
-                if not isinstance(row["threads"], int) or row["threads"] <= 0:
-                    fail(path, f"rows[{i}]: threads must be a positive "
-                               f"integer")
-                if kind == "speedup":
-                    for key in ("unblocked_ms", "blocked_ms", "speedup"):
-                        if not isinstance(row.get(key), (int, float)):
-                            fail(path, f"rows[{i}]: missing '{key}'")
-                    if row.get("identical") is not True:
-                        fail(path, f"rows[{i}]: blocked schedule diverged "
-                                   f"from unblocked bitwise")
-                elif kind == "scaling":
-                    if not isinstance(row.get("blocked_ms"), (int, float)):
-                        fail(path, f"rows[{i}]: missing 'blocked_ms'")
-                    if row.get("identical") is not True:
-                        fail(path, f"rows[{i}]: blocked schedule diverged "
-                                   f"from unblocked bitwise")
-                    if row.get("identical_across_threads") is not True:
-                        fail(path, f"rows[{i}]: results diverged across "
-                                   f"thread counts")
-                else:
-                    if not isinstance(row.get("mops"), (int, float)):
-                        fail(path, f"rows[{i}]: missing 'mops'")
-                    if row.get("identical_across_threads") is not True:
-                        fail(path, f"rows[{i}]: spmv bytes diverged across "
-                                   f"thread counts")
-                continue
-            if experiment == "serve":
-                # bench/perf_serve.cpp throughput rows: one per thread count,
-                # cold phase fills the caches, warm phase must hit them, and
-                # every thread count must produce byte-identical responses.
-                for key in ("threads", "requests", "solves_per_sec_cold",
-                            "solves_per_sec_warm", "cache_hit_rate_warm",
-                            "identical_across_threads"):
-                    if key not in row:
-                        fail(path, f"rows[{i}]: missing '{key}'")
-                if not isinstance(row["threads"], int) or row["threads"] <= 0:
-                    fail(path, f"rows[{i}]: threads must be a positive "
-                               f"integer")
-                rate = row["cache_hit_rate_warm"]
-                if not isinstance(rate, (int, float)) or not rate > 0:
-                    fail(path, f"rows[{i}]: warm cache hit rate must be > 0 "
-                               f"(got {rate!r})")
-                if row["identical_across_threads"] is not True:
-                    fail(path, f"rows[{i}]: responses diverged across "
-                               f"thread counts")
-                continue
             if not isinstance(row.get("matrix"), str):
                 fail(path, f"rows[{i}]: missing matrix name")
             if experiment.startswith("lu_ir"):

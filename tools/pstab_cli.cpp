@@ -34,13 +34,11 @@
 #include <unistd.h>
 
 #include "core/experiments.hpp"
-#include "core/kernels_bench.hpp"
 #include "core/report.hpp"
 #include "core/report_json.hpp"
 #include "core/telemetry/telemetry.hpp"
 #include "fuzz/fuzz.hpp"
 #include "ieee/softfloat.hpp"
-#include "la/kernels/simd/simd.hpp"
 #include "matrices/mm_io.hpp"
 #include "matrices/suite.hpp"
 #include "posit/lut.hpp"
@@ -68,7 +66,6 @@ int usage() {
                "               [--shutdown]\n"
                "  chaos [--seed S] [--sessions N] [--threads T]\n"
                "        [--timeout-ms MS]\n"
-               "  kernels --bench [--n <len>] |\n"
                "  precision <value> |\n"
                "  fuzz [--seed S] [--cases N] [--surfaces LIST]\n"
                "       [--corpus DIR] [--no-minimize] [--replay DIR]\n"
@@ -81,7 +78,6 @@ int usage() {
                "    --kernels scalar|batched|simd|auto --block <w>\n"
                "    --factor grid|f16|bf16|p16_1|p16_2|f32|p32_2\n"
                "    --working f64 --residual auto|f64|dd|quire\n"
-               "  kernels also accepts: --json <path>\n"
                "  PSTAB_SIMD=avx2|avx512|neon|scalar pins the simd ISA\n");
   return 1;
 }
@@ -494,41 +490,6 @@ int cmd_chaos(int argc, char** argv) {
   return 0;
 }
 
-int cmd_kernels(int argc, char** argv) {
-  bool bench = false;
-  int n = 4096;
-  std::string json_path;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench") == 0) {
-      bench = true;
-    } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = int(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      return bad_usage(std::string("unknown flag '") + argv[i] + "'");
-    }
-  }
-  if (!bench || n <= 0) return usage();
-  // No telemetry here: counters force the scalar fallback, which would turn
-  // the comparison into scalar-vs-scalar.
-  const auto rows = core::run_kernels_bench(n);
-  std::printf("simd isa: %s\n",
-              la::kernels::simd::isa_name(la::kernels::simd::active_isa()));
-  core::Table t({"Kernel", "Format", "n", "Scalar Mop/s", "Batched Mop/s",
-                 "Simd Mop/s", "B-Speedup", "S-Speedup", "Identical"});
-  for (const auto& r : rows)
-    t.row({r.kernel, r.format, core::fmt_int(r.n),
-           core::fmt_fix(r.scalar_mops, 1), core::fmt_fix(r.batched_mops, 1),
-           core::fmt_fix(r.simd_mops, 1), core::fmt_fix(r.speedup(), 2) + "x",
-           core::fmt_fix(r.simd_speedup(), 2) + "x",
-           r.identical && r.simd_identical ? "yes" : "NO"});
-  t.print();
-  if (!json_path.empty())
-    return emit_json(json_path, core::kernels_results_json(rows, n));
-  return 0;
-}
-
 template <class T>
 void show_precision(const char* label, double v) {
   const T x = scalar_traits<T>::from_double(v);
@@ -672,7 +633,6 @@ constexpr Command kCommands[] = {
     {"serve", cmd_serve},
     {"serve-client", cmd_serve_client},
     {"chaos", cmd_chaos},
-    {"kernels", cmd_kernels},
     {"precision", cmd_precision},
     {"fuzz", cmd_fuzz},
     {"inject", cmd_inject},

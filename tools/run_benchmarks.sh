@@ -1,25 +1,22 @@
 #!/usr/bin/env sh
-# Build (Release) and run the performance benchmarks, leaving their JSON
-# artifacts in the build directory.
+# Build (Release) and run the paper's experiment benches, leaving their
+# schema-checked RESULTS_*.json artifacts in the build directory.
 #
 #   tools/run_benchmarks.sh [build-dir]        default build-dir: build-bench
 #
 # Env:
-#   PSTAB_THREADS     worker count for the parallel columns (default: cores)
+#   PSTAB_THREADS     worker count for the experiment grid (default: cores)
 #   PSTAB_BENCH_FULL  =1 also run the remaining figure/table benches
-#   PSTAB_BLOCKED_N   large-n size for perf_blocked (default 10000; set
-#                     2048 for a quick pass — the n=10^4 unblocked
-#                     reference run takes minutes by construction)
 #
-# Always runs fig6_cg, so every invocation leaves a schema-checked
-# RESULTS_cg.json (the acceptance artifact for the telemetry layer),
-# perf_kernels, which leaves BENCH_kernels.json (the acceptance artifact for
-# the batched kernel backends), and the general-systems refinement pair
-# table_lu_ir / ablation_gmres_ir, which leave RESULTS_lu_ir.json and
-# RESULTS_gmres_ir.json (the acceptance artifacts for the LU-IR / GMRES-IR
-# solvers); with PSTAB_BENCH_FULL=1 the other experiment benches add their
-# RESULTS_*.json files.  Every artifact is validated with
+# Always runs fig6_cg (RESULTS_cg.json) and the general-systems refinement
+# pair table_lu_ir / ablation_gmres_ir (RESULTS_lu_ir.json,
+# RESULTS_gmres_ir.json); with PSTAB_BENCH_FULL=1 the other experiment
+# benches add their RESULTS_*.json files.  Every artifact is validated with
 # tools/check_results_schema.py when python3 is available.
+#
+# Speed is measured by perfbench, not here: `python3 perfbench/run.py
+# --trace 1` reports the per-layer numbers (posit.*_mops, kernels.*.mops,
+# kernels.spmv.p32_2.tile_speedup, serve.*) next to the end-to-end metrics.
 set -eu
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
@@ -27,20 +24,10 @@ build_dir=${1:-"$repo_root/build-bench"}
 
 cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j"$(nproc 2>/dev/null || echo 1)" \
-  --target perf_ops perf_kernels perf_blocked fig6_cg fig7_cg_rescaled \
-           fig8_cholesky fig9_cholesky_rescaled table2_ir_naive \
-           table3_ir_higham table_lu_ir ablation_gmres_ir
+  --target fig6_cg fig7_cg_rescaled fig8_cholesky fig9_cholesky_rescaled \
+           table2_ir_naive table3_ir_higham table_lu_ir ablation_gmres_ir
 
 cd "$build_dir"
-echo "== perf_ops: LUT vs scalar (writes BENCH_posit_ops.json) =="
-./bench/perf_ops --out BENCH_posit_ops.json
-
-echo "== perf_kernels: scalar vs batched backends (writes BENCH_kernels.json) =="
-./bench/perf_kernels
-
-echo "== perf_blocked: blocked vs unblocked factorizations (writes BENCH_blocked.json) =="
-./bench/perf_blocked
-
 echo "== fig6_cg (writes RESULTS_cg.json) =="
 ./bench/fig6_cg
 
@@ -61,11 +48,10 @@ fi
 if command -v python3 >/dev/null 2>&1; then
   echo "== schema check =="
   python3 "$repo_root/tools/check_results_schema.py" \
-    "$build_dir"/RESULTS_*.json "$build_dir"/BENCH_kernels.json \
-    "$build_dir"/BENCH_blocked.json
+    "$build_dir"/RESULTS_*.json
 else
   echo "python3 not found; skipping results schema check"
 fi
 
-echo "benchmark artifacts in $build_dir:"
-ls -l "$build_dir"/BENCH_*.json "$build_dir"/RESULTS_*.json 2>/dev/null || true
+echo "experiment artifacts in $build_dir:"
+ls -l "$build_dir"/RESULTS_*.json 2>/dev/null || true
