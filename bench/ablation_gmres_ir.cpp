@@ -29,7 +29,7 @@ int main() {
   };
 
   la::IrOptions gopt;
-  gopt.max_iter = 200;  // outer cap; inner GMRES reads gmres_iters/gmres_tol
+  gopt.max_iter = 200;  // outer cap; the inner GMRES is la::kGmresIrInner*
 
   int plain_ok = 0, gmres_ok = 0;
   core::Table t({"Matrix", "F16 IR", "F16 GMRES-IR", "P(16,2) IR",

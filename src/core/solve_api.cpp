@@ -1,5 +1,9 @@
 #include "core/solve_api.hpp"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,8 +119,14 @@ double SolveRequest::effective_tol() const noexcept {
 int SolveRequest::effective_max_iter(int n) const noexcept {
   if (max_iter > 0) return max_iter;
   const SolverInfo& info = solver_info(solver);
-  if (info.iters_scale_with_n)
-    return (max_iter_per_n > 0 ? max_iter_per_n : info.default_max_iter) * n;
+  if (info.iters_scale_with_n) {
+    // In 64 bits, saturated: a per-n cap times a large n never wraps.
+    const std::int64_t cap =
+        std::int64_t(max_iter_per_n > 0 ? max_iter_per_n
+                                        : info.default_max_iter) *
+        n;
+    return cap > INT_MAX ? INT_MAX : int(cap);
+  }
   return info.default_max_iter;
 }
 
@@ -191,6 +201,30 @@ bool parse_backend(const std::string& s, la::kernels::Backend& out) noexcept {
 // ---------------------------------------------------------------------------
 // CLI parser
 
+namespace {
+
+/// The whole of `s` as a decimal integer in [0, INT_MAX].
+bool parse_count(const char* s, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v < 0 || v > INT_MAX)
+    return false;
+  out = int(v);
+  return true;
+}
+
+/// The whole of `s` as a finite non-negative number.
+bool parse_nonneg(const char* s, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v < 0) return false;
+  out = v;
+  return true;
+}
+
+}  // namespace
+
 CliParse parse_solver_cli(Solver solver, const std::string& matrix, int argc,
                           char** argv, int first) {
   CliParse p;
@@ -199,6 +233,11 @@ CliParse parse_solver_cli(Solver solver, const std::string& matrix, int argc,
   const auto value_missing = [&p](const char* flag) {
     p.ok = false;
     p.error = std::string("flag '") + flag + "' requires a value";
+  };
+  const auto bad_value = [&p](const char* flag, const char* want,
+                              const char* got) {
+    p.ok = false;
+    p.error = std::string(flag) + " expects " + want + ", got '" + got + "'";
   };
   for (int i = first; i < argc && p.ok; ++i) {
     const char* a = argv[i];
@@ -216,27 +255,23 @@ CliParse parse_solver_cli(Solver solver, const std::string& matrix, int argc,
       p.json_path = argv[++i];
     } else if (std::strcmp(a, "--tol") == 0) {
       if (!has_value) { value_missing(a); break; }
-      p.req.tol = std::strtod(argv[++i], nullptr);
+      if (!parse_nonneg(argv[++i], p.req.tol))
+        bad_value(a, "a non-negative number", argv[i]);
     } else if (std::strcmp(a, "--max-iter") == 0) {
       if (!has_value) { value_missing(a); break; }
-      p.req.max_iter = int(std::strtol(argv[++i], nullptr, 10));
+      if (!parse_count(argv[++i], p.req.max_iter))
+        bad_value(a, "a non-negative iteration count", argv[i]);
     } else if (std::strcmp(a, "--max-iter-per-n") == 0) {
       if (!has_value) { value_missing(a); break; }
-      p.req.max_iter_per_n = int(std::strtol(argv[++i], nullptr, 10));
+      if (!parse_count(argv[++i], p.req.max_iter_per_n))
+        bad_value(a, "a non-negative iteration count", argv[i]);
     } else if (std::strcmp(a, "--rhs-seed") == 0) {
       if (!has_value) { value_missing(a); break; }
       p.req.rhs_seed = std::strtoull(argv[++i], nullptr, 0);
     } else if (std::strcmp(a, "--budget") == 0) {
       if (!has_value) { value_missing(a); break; }
-      char* end = nullptr;
-      const long v = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 0) {
-        p.ok = false;
-        p.error = std::string("--budget expects a non-negative tick count, "
-                              "got '") + argv[i] + "'";
-      } else {
-        p.req.budget_ticks = int(v);
-      }
+      if (!parse_count(argv[++i], p.req.budget_ticks))
+        bad_value(a, "a non-negative tick count", argv[i]);
     } else if (std::strcmp(a, "--kernels") == 0) {
       if (!has_value) { value_missing(a); break; }
       if (!parse_backend(argv[++i], p.req.backend)) {
@@ -245,15 +280,8 @@ CliParse parse_solver_cli(Solver solver, const std::string& matrix, int argc,
       }
     } else if (std::strcmp(a, "--block") == 0) {
       if (!has_value) { value_missing(a); break; }
-      char* end = nullptr;
-      const long v = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 0) {
-        p.ok = false;
-        p.error = std::string("--block expects a non-negative panel width, "
-                              "got '") + argv[i] + "'";
-      } else {
-        p.req.block = int(v);
-      }
+      if (!parse_count(argv[++i], p.req.block))
+        bad_value(a, "a non-negative panel width", argv[i]);
     } else if (std::strcmp(a, "--factor") == 0) {
       if (!has_value) { value_missing(a); break; }
       p.req.precision.factor = argv[++i];
@@ -345,6 +373,14 @@ SolveResponse run_request(const SolveRequest& req, ArtifactCache* cache) {
       m = held.get();
     } else {
       m = &matrices::suite_matrix(req.matrix);
+    }
+    // CG's cap is max_iter_per_n * n; a product past INT_MAX is an error
+    // naming the key, not a silently saturated cap.
+    if (info.iters_scale_with_n && req.max_iter <= 0 &&
+        std::int64_t(req.max_iter_per_n) * m->n > INT_MAX) {
+      resp.error = "key 'max_iter_per_n' times the matrix order (" +
+                   std::to_string(m->n) + ") exceeds 2147483647";
+      return resp;
     }
     resp.result_json = info.run_row(*m, req, cache);
     // A solve cut short by the cancel token (the serve watchdog) stopped at

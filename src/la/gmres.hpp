@@ -139,68 +139,46 @@ inline GmresReport gmres_solve(
   return rep;
 }
 
+// The correction GMRES of both GMRES-IR drivers: at most 40 iterations
+// (one restart cycle) to a relative residual of 1e-4 per outer step.
+inline constexpr int kGmresIrInnerIters = 40;
+inline constexpr double kGmresIrInnerTol = 1e-4;
+
+namespace detail {
+
+/// The GMRES-IR correction: solve A d = r by GMRES left-preconditioned with
+/// `minv`, adding the inner iterations spent to `*inner` when given.
+template <class Minv>
+Vec<double> gmres_correct(const Dense<double>& A, const Vec<double>& r,
+                          const Minv& minv, int* inner) {
+  Vec<double> d;
+  const GmresReport g = gmres_solve(A, r, d, minv, kGmresIrInnerTol,
+                                    kGmresIrInnerIters, kGmresIrInnerIters);
+  if (inner) *inner += g.iterations;
+  return d;
+}
+
+}  // namespace detail
+
 /// GMRES-IR (Carson & Higham): like mixed_ir, but each correction equation
 /// A d = r is solved by preconditioned GMRES with the 16-bit Cholesky factor
-/// as the preconditioner, instead of a single triangular solve.  Takes the
-/// same unified IrOptions as every other refinement driver (the correction
-/// GMRES reads `gmres_iters` / `gmres_tol`; `max_iter` caps OUTER steps,
-/// reported in IrReport::iterations).
+/// as the preconditioner, instead of a single triangular solve.  `max_iter`
+/// caps OUTER steps, reported in IrReport::iterations.
 template <class F>
 IrReport gmres_ir(const Dense<double>& A, const Vec<double>& b,
                   Vec<double>& x, const IrOptions& opt = {}) {
   IrReport rep;
-  const int n = A.rows();
-  const Dense<F> Ah = A.template cast_clamped<F>();
-  const auto fact = cholesky(Ah, nullptr, opt.kernels, nullptr, opt.budget);
-  rep.chol_status = fact.status;
-  if (fact.status != CholStatus::ok) {
-    rep.status = fact.status == CholStatus::deadline_exceeded
-                     ? IrStatus::deadline_exceeded
-                     : IrStatus::factorization_failed;
-    return rep;
-  }
-  if (opt.record_factorization_error)
-    rep.factorization_error = factorization_backward_error(Ah, fact.R);
-  const Dense<double> R = fact.R.template cast<double>();
+  const auto f = detail::chol_ir_setup<F>(rep, A, opt, nullptr);
+  if (!f) return rep;
   const auto minv = [&](const Vec<double>& v) {
-    return solve_upper(R, solve_lower_rt(R, v, {}, fact.profile), {},
-                       fact.profile);
+    return detail::chol_correct(*f, nullptr, v);
   };
-
-  const double norm_a = kernels::norm_inf(A);
-  const double norm_b = kernels::norm_inf_d(b);
-  x.assign(n, 0.0);
-  for (int it = 1; it <= opt.max_iter; ++it) {
-    // One tick per outer refinement step (the correction GMRES is bounded by
-    // gmres_iters, so the outer step is the runaway dimension).
-    if (!core::budget_tick(opt.budget)) {
-      rep.status = IrStatus::deadline_exceeded;
-      return rep;
-    }
-    const Vec<double> r = ir_residual(A, b, x, opt.residual);
-    Vec<double> d;
-    gmres_solve(A, r, d, minv, opt.gmres_tol, opt.gmres_iters,
-                opt.gmres_iters);
-    const Vec<double> x_prev = x;
-    for (int i = 0; i < n; ++i) x[i] += d[i];
-    const Vec<double> r2 = ir_residual(A, b, x, opt.residual);
-    const double berr =
-        kernels::norm_inf_d(r2) /
-        (norm_a * kernels::norm_inf_d(x) + norm_b);
-    rep.final_berr = berr;
-    rep.iterations = it;
-    if (opt.record_history) rep.history.push_back(berr);
-    if (!std::isfinite(berr)) {
-      rep.status = IrStatus::diverged;
-      x = x_prev;  // never hand back a poisoned iterate
-      return rep;
-    }
-    if (berr <= opt.tol) {
-      rep.status = IrStatus::converged;
-      return rep;
-    }
-  }
-  rep.status = IrStatus::max_iterations;
+  refine(
+      rep, A, b, x, opt,
+      [&](const Vec<double>& r) {
+        return detail::gmres_correct(A, r, minv, nullptr);
+      },
+      /*restore_x=*/true);
   return rep;
 }
 
@@ -217,70 +195,18 @@ LuIrReport gmres_ir_lu(const Dense<double>& A, const Vec<double>& b,
                        const Dense<double>* As_source = nullptr,
                        const LuResult<F>* fact_in = nullptr) {
   LuIrReport rep;
-  const int n = A.rows();
-  if (opt.record_trace) rep.trace = std::make_shared<telemetry::Trace>();
-  telemetry::Trace* tr = rep.trace.get();
-
-  telemetry::TraceSpan fact_span(tr, "factorize");
-  const auto setup = detail::lu_ir_setup<F>(rep, A, opt, As_source, fact_in);
-  fact_span.close();
-  if (!setup.ok) return rep;
-
+  const auto fd =
+      detail::lu_ir_setup<F>(rep, As_source ? *As_source : A, opt, fact_in);
+  if (!fd) return rep;
   const auto minv = [&](const Vec<double>& v) {
-    Vec<double> w = v;
-    if (gs)
-      for (int i = 0; i < n; ++i) w[i] *= gs->row[i];
-    Vec<double> y = lu_solve(setup.fd, w);
-    if (gs)
-      for (int i = 0; i < n; ++i) y[i] *= gs->col[i];
-    return y;
+    return detail::lu_correct(*fd, gs, v);
   };
-
-  telemetry::TraceSpan refine_span(tr, "refine");
-  const double norm_a = kernels::norm_inf(A);
-  const double norm_b = kernels::norm_inf_d(b);
-  x.assign(n, 0.0);
-
-  double first_berr = -1.0;
-  for (int it = 1; it <= opt.max_iter; ++it) {
-    // One tick per outer step, same unit as lu_ir's refinement loop; the
-    // partial report keeps iterations/inner_iterations/history so far.
-    if (!core::budget_tick(opt.budget)) {
-      rep.status = SolveStatus::deadline_exceeded;
-      return rep;
-    }
-    const Vec<double> r = ir_residual(A, b, x, opt.residual);
-    Vec<double> d;
-    const auto inner = gmres_solve(A, r, d, minv, opt.gmres_tol,
-                                   opt.gmres_iters, opt.gmres_iters);
-    rep.inner_iterations += inner.iterations;
-    const Vec<double> x_prev = x;
-    for (int i = 0; i < n; ++i) x[i] += d[i];
-
-    const Vec<double> r2 = ir_residual(A, b, x, opt.residual);
-    const double berr =
-        kernels::norm_inf_d(r2) / (norm_a * kernels::norm_inf_d(x) + norm_b);
-    rep.final_berr = berr;
-    rep.iterations = it;
-    if (opt.record_history) rep.history.push_back(berr);
-    if (tr) tr->residual(berr);
-    if (!std::isfinite(berr)) {
-      rep.status = SolveStatus::diverged;
-      x = x_prev;  // never hand back a poisoned iterate
-      return rep;
-    }
-    if (berr <= opt.tol) {
-      rep.status = SolveStatus::converged;
-      return rep;
-    }
-    const bool catastrophic_first = first_berr < 0 && berr > 0.9;
-    if (first_berr < 0) first_berr = berr;
-    if (catastrophic_first || (berr > 1e4 * first_berr && berr > 1e-2)) {
-      rep.status = SolveStatus::diverged;
-      return rep;
-    }
-  }
-  rep.status = SolveStatus::max_iterations;
+  refine(
+      rep, A, b, x, opt,
+      [&](const Vec<double>& r) {
+        return detail::gmres_correct(A, r, minv, &rep.inner_iterations);
+      },
+      /*restore_x=*/true);
   return rep;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cmath>
+#include <optional>
 
 #include "la/ir.hpp"
 #include "la/lu.hpp"
@@ -50,47 +51,55 @@ template <class F>
 
 namespace detail {
 
-// The shared O(n^3)-in-F stage: cast (optionally pre-equilibrated) A down,
-// factor with partial pivoting, promote to double.  `fact_in` must be exactly
-// lu_factor(cast) output (e.g. from the serve ArtifactCache) so the
-// refinement is bit-identical to the factor-here path.
+/// The LU family's O(n^3)-in-F stage, shared by lu_ir and gmres_ir_lu: cast
+/// `src` (A, or the pre-equilibrated matrix) to F, factor it with partial
+/// pivoting (or take `fact_in`, which must be exactly lu_factor(fl_F(src))
+/// output, e.g. from the serve ArtifactCache, so the refinement is
+/// bit-identical to the factor-here path), record the factor's status and
+/// backward error in `rep`, and promote the factors to double.  nullopt
+/// when the factorization failed.
 template <class F>
-struct LuIrSetup {
-  LuResult<double> fd;  // promoted factors + perm
-  bool ok = false;
-};
-
-template <class F>
-LuIrSetup<F> lu_ir_setup(LuIrReport& rep, const Dense<double>& A,
-                         const IrOptions& opt,
-                         const Dense<double>* As_source,
-                         const LuResult<F>* fact_in) {
-  LuIrSetup<F> s;
-  const Dense<double>& src = As_source ? *As_source : A;
+std::optional<LuResult<double>> lu_ir_setup(LuIrReport& rep,
+                                            const Dense<double>& src,
+                                            const IrOptions& opt,
+                                            const LuResult<F>* fact_in) {
+  if (opt.record_trace) rep.trace = std::make_shared<telemetry::Trace>();
   const Dense<F> Ah = src.template cast_clamped<F>();
+  telemetry::TraceSpan span(rep.trace.get(), "factorize");
   LuResult<F> fact_local;
-  if (!fact_in) fact_local = lu_factor(Ah);
+  if (!fact_in) fact_local = lu_factor(Ah, opt.kernels);
   const LuResult<F>& fact = fact_in ? *fact_in : fact_local;
+  span.close();
   rep.lu_status = fact.status;
   if (fact.status != LuStatus::ok) {
     rep.status = SolveStatus::factorization_failed;
-    return s;
+    return std::nullopt;
   }
-  if (opt.record_factorization_error)
-    rep.factorization_error = lu_backward_error(Ah, fact);
-  s.fd.status = LuStatus::ok;
-  s.fd.lu = fact.lu.template cast<double>();
-  s.fd.perm = fact.perm;
-  s.ok = true;
-  return s;
+  rep.factorization_error = lu_backward_error(Ah, fact);
+  LuResult<double> fd;
+  fd.lu = fact.lu.template cast<double>();
+  fd.perm = fact.perm;
+  return fd;
+}
+
+/// d = diag(col) · (LU)^{-1} · diag(row) · v, or (LU)^{-1} v without `gs`.
+inline Vec<double> lu_correct(const LuResult<double>& fd,
+                              const scaling::GeneralScaling* gs,
+                              Vec<double> v) {
+  const int n = int(v.size());
+  if (gs)
+    for (int i = 0; i < n; ++i) v[i] *= gs->row[i];
+  Vec<double> d = lu_solve(fd, v);
+  if (gs)
+    for (int i = 0; i < n; ++i) d[i] *= gs->col[i];
+  return d;
 }
 
 }  // namespace detail
 
 /// Plain LU-IR.  With `gs`/`As_source` set (As_source = diag(row)·A·diag(col)
 /// already applied), the correction solve runs through the equilibrated
-/// factors while the refinement still targets the ORIGINAL system:
-/// d = diag(col) · (LU)^{-1} · diag(row) · r.
+/// factors while the refinement still targets the ORIGINAL system.
 template <class F>
 LuIrReport lu_ir(const Dense<double>& A, const Vec<double>& b, Vec<double>& x,
                  const IrOptions& opt = {},
@@ -98,58 +107,13 @@ LuIrReport lu_ir(const Dense<double>& A, const Vec<double>& b, Vec<double>& x,
                  const Dense<double>* As_source = nullptr,
                  const LuResult<F>* fact_in = nullptr) {
   LuIrReport rep;
-  const int n = A.rows();
-  if (opt.record_trace) rep.trace = std::make_shared<telemetry::Trace>();
-  telemetry::Trace* tr = rep.trace.get();
-
-  telemetry::TraceSpan fact_span(tr, "factorize");
-  const auto setup = detail::lu_ir_setup<F>(rep, A, opt, As_source, fact_in);
-  fact_span.close();
-  if (!setup.ok) return rep;
-
-  telemetry::TraceSpan refine_span(tr, "refine");
-  const double norm_a = kernels::norm_inf(A);
-  const double norm_b = kernels::norm_inf_d(b);
-  x.assign(n, 0.0);
-
-  double first_berr = -1.0;
-  for (int it = 1; it <= opt.max_iter; ++it) {
-    // One budget tick per refinement step (the deterministic work unit); on
-    // exhaustion the report keeps the berr/history recorded so far.
-    if (!core::budget_tick(opt.budget)) {
-      rep.status = SolveStatus::deadline_exceeded;
-      return rep;
-    }
-    Vec<double> r = ir_residual(A, b, x, opt.residual);
-    if (gs)
-      for (int i = 0; i < n; ++i) r[i] *= gs->row[i];
-    Vec<double> d = lu_solve(setup.fd, r);
-    if (gs)
-      for (int i = 0; i < n; ++i) d[i] *= gs->col[i];
-    for (int i = 0; i < n; ++i) x[i] += d[i];
-
-    const Vec<double> r2 = ir_residual(A, b, x, opt.residual);
-    const double berr =
-        kernels::norm_inf_d(r2) / (norm_a * kernels::norm_inf_d(x) + norm_b);
-    rep.final_berr = berr;
-    rep.iterations = it;
-    if (opt.record_history) rep.history.push_back(berr);
-    if (tr) tr->residual(berr);
-    if (berr <= opt.tol) {
-      rep.status = SolveStatus::converged;
-      return rep;
-    }
-    // Same divergence taxonomy as mixed_ir (la/ir.hpp): overflowed
-    // correction, information-free factorization, or a 1e4x blow-up.
-    const bool catastrophic_first = first_berr < 0 && berr > 0.9;
-    if (first_berr < 0) first_berr = berr;
-    if (!std::isfinite(berr) || catastrophic_first ||
-        (berr > 1e4 * first_berr && berr > 1e-2)) {
-      rep.status = SolveStatus::diverged;
-      return rep;
-    }
-  }
-  rep.status = SolveStatus::max_iterations;
+  const auto fd =
+      detail::lu_ir_setup<F>(rep, As_source ? *As_source : A, opt, fact_in);
+  if (!fd) return rep;
+  refine(
+      rep, A, b, x, opt,
+      [&](const Vec<double>& r) { return detail::lu_correct(*fd, gs, r); },
+      /*restore_x=*/false);
   return rep;
 }
 

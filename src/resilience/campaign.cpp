@@ -213,7 +213,8 @@ SolveOutcome run_ir(const Problem& pb, const FaultPlan* plan,
     }
   }
   la::Vec<double> x;
-  const auto rep = ir_escalate<F>(pb.A, pb.b, x, o, nullptr, ah_src);
+  const auto rep =
+      escalate<F, scaling::HighamScaling>(pb.A, pb.b, x, o, nullptr, ah_src);
   SolveOutcome out;
   out.status = rep.status;
   out.iterations = rep.iterations;

@@ -2,9 +2,10 @@
 //
 // la::mixed_ir<F> is templated on the factorization format F, so escalating
 // "one precision tier up" changes a template argument — it cannot live inside
-// the solver.  ir_escalate<F> wraps it: when the solve comes back
-// factorization_failed or diverged and ResilientOptions{enabled, escalate}
-// allows, it re-runs the whole solve with F promoted along
+// the solver.  escalate<F> wraps it (and la::lu_ir<F> alike): when the solve
+// comes back factorization_failed, diverged or max_iterations and
+// ResilientOptions{enabled, escalate} allows, it re-runs the whole solve
+// with F promoted along
 //
 //   Half -> Float32Emu -> double          (IEEE ladder)
 //   BFloat16 -> Float32Emu -> double
@@ -13,7 +14,7 @@
 // at most max_escalations rungs.  Each rung is recorded as an
 // "escalate:<format>" RecoveryEvent prepended to the final report's recovery
 // trail, so a corrected run is distinguishable from a first-try success.
-// With recovery disabled this is exactly one mixed_ir<F> call.
+// With recovery disabled this is exactly one driver call.
 #pragma once
 
 #include <string>
@@ -51,55 +52,25 @@ struct NextTier<Posit16_2> {
   using type = Posit32_2;
 };
 
-template <class F>
-la::IrReport ir_escalate(const la::Dense<double>& A, const la::Vec<double>& b,
-                         la::Vec<double>& x, const la::IrOptions& opt = {},
-                         const scaling::HighamScaling* hs = nullptr,
-                         const la::Dense<double>* Ah_source = nullptr,
-                         int budget = -1) {
+/// The escalation ladder of both refinement families: the Scaling type picks
+/// the driver (Higham scaling -> la::mixed_ir, two-sided equilibration ->
+/// la::lu_ir); on failure the solve re-runs at NextTier<F>, at most `budget`
+/// rungs (default opt.resilience.max_escalations).
+template <class F, class Scaling = scaling::HighamScaling>
+auto escalate(const la::Dense<double>& A, const la::Vec<double>& b,
+              la::Vec<double>& x, const la::IrOptions& opt = {},
+              const Scaling* sc = nullptr,
+              const la::Dense<double>* src = nullptr, int budget = -1) {
   if (budget < 0) budget = opt.resilience.max_escalations;
-  la::IrReport rep = la::mixed_ir<F>(A, b, x, opt, hs, Ah_source);
+  auto rep = [&] {
+    if constexpr (std::is_same_v<Scaling, scaling::GeneralScaling>)
+      return la::lu_ir<F>(A, b, x, opt, sc, src);
+    else
+      return la::mixed_ir<F>(A, b, x, opt, sc, src);
+  }();
   // max_iterations counts as failure here: a tier that cannot contract within
   // the cap will not be saved by more of the same precision, and escalating
   // is what keeps an injected campaign free of hangs.
-  const bool failed = rep.status == la::IrStatus::factorization_failed ||
-                      rep.status == la::IrStatus::diverged ||
-                      rep.status == la::IrStatus::max_iterations;
-  if (!failed || budget <= 0 || !opt.resilience.enabled ||
-      !opt.resilience.escalate)
-    return rep;
-  using G = typename NextTier<F>::type;
-  if constexpr (std::is_void_v<G>) {
-    return rep;
-  } else {
-    std::vector<la::RecoveryEvent> trail = std::move(rep.recovery);
-    trail.push_back({rep.iterations,
-                     std::string("escalate:") + scalar_traits<G>::name(),
-                     double(opt.resilience.max_escalations - budget + 1)});
-    // Escalation re-reads the factorization input from the authoritative
-    // source.  A Higham-scaled Ah_source is part of the algorithm and is
-    // kept; an unscaled one stands in for the (possibly corrupted)
-    // low-precision cast buffer, which a fresh cast from A leaves behind.
-    const la::Dense<double>* src = hs ? Ah_source : nullptr;
-    la::IrReport up = ir_escalate<G>(A, b, x, opt, hs, src, budget - 1);
-    up.recovery.insert(up.recovery.begin(), trail.begin(), trail.end());
-    return up;
-  }
-}
-
-/// The general-systems analogue of ir_escalate: la::lu_ir<F> with the same
-/// NextTier ladder and "escalate:<format>" recovery trail.  Equilibration
-/// (gs/As_source) is part of the algorithm and is kept across rungs, exactly
-/// like a Higham-scaled Ah_source above.
-template <class F>
-la::LuIrReport lu_ir_escalate(const la::Dense<double>& A,
-                              const la::Vec<double>& b, la::Vec<double>& x,
-                              const la::IrOptions& opt = {},
-                              const scaling::GeneralScaling* gs = nullptr,
-                              const la::Dense<double>* As_source = nullptr,
-                              int budget = -1) {
-  if (budget < 0) budget = opt.resilience.max_escalations;
-  la::LuIrReport rep = la::lu_ir<F>(A, b, x, opt, gs, As_source);
   const bool failed = rep.status == la::SolveStatus::factorization_failed ||
                       rep.status == la::SolveStatus::diverged ||
                       rep.status == la::SolveStatus::max_iterations;
@@ -114,8 +85,12 @@ la::LuIrReport lu_ir_escalate(const la::Dense<double>& A,
     trail.push_back({rep.iterations,
                      std::string("escalate:") + scalar_traits<G>::name(),
                      double(opt.resilience.max_escalations - budget + 1)});
-    la::LuIrReport up = lu_ir_escalate<G>(A, b, x, opt, gs, As_source,
-                                          budget - 1);
+    // Escalation re-reads the factorization input from the authoritative
+    // source.  A scaled source (Higham or equilibrated) is part of the
+    // algorithm and is kept; an unscaled one stands in for the (possibly
+    // corrupted) low-precision cast buffer, which a fresh cast from A leaves
+    // behind.
+    auto up = escalate<G>(A, b, x, opt, sc, sc ? src : nullptr, budget - 1);
     up.recovery.insert(up.recovery.begin(), trail.begin(), trail.end());
     return up;
   }

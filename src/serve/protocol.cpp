@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cctype>
+#include <climits>
 #include <cstring>
 
 #include <netinet/in.h>
@@ -306,6 +307,17 @@ bool type_error(std::string& err, const std::string& key, const char* want) {
   return false;
 }
 
+/// A non-negative integer that fits the request's `int` field; anything
+/// larger is an error naming the key, never a wrapped value.
+bool int_field(const JsonValue& v, const std::string& key, int& out,
+               std::string& err) {
+  if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
+  if (v.as_uint() > std::uint64_t(INT_MAX))
+    return type_error(err, key, "at most 2147483647");
+  out = int(v.as_uint());
+  return true;
+}
+
 }  // namespace
 
 bool request_from_json(std::string_view text, Request& out, std::string& err) {
@@ -353,11 +365,9 @@ bool request_from_json(std::string_view text, Request& out, std::string& err) {
         return type_error(err, key, "a non-negative number");
       out.solve.tol = v.number;
     } else if (key == "max_iter") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.max_iter = int(v.as_uint());
+      if (!int_field(v, key, out.solve.max_iter, err)) return false;
     } else if (key == "max_iter_per_n") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.max_iter_per_n = int(v.as_uint());
+      if (!int_field(v, key, out.solve.max_iter_per_n, err)) return false;
     } else if (key == "fused_dots") {
       if (v.kind != JsonValue::Kind::boolean)
         return type_error(err, key, "a boolean");
@@ -385,8 +395,7 @@ bool request_from_json(std::string_view text, Request& out, std::string& err) {
                           "\"scalar\", \"batched\", \"simd\" or \"auto\"");
       out.solve.backend = b;
     } else if (key == "block") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.block = int(v.as_uint());
+      if (!int_field(v, key, out.solve.block, err)) return false;
     } else if (key == "precision") {
       // The (u_f, u, u_r) triple as a nested object; unknown or non-string
       // members are rejected with the same name-the-offender strictness as

@@ -4,7 +4,7 @@
 // thread-count-independent artifact bytes, the shared LU-factor cache seam
 // between lu_ir and gmres_ir requests, power-of-two equilibration
 // invariants, DoubleQuire exactness, the rescue regime, and the
-// lu_ir_escalate recovery ladder.
+// escalate recovery ladder on lu_ir.
 #include <gmpxx.h>
 #include <gtest/gtest.h>
 
@@ -496,7 +496,7 @@ TEST(GmresIr, RescuesACellWherePlainLuIrStalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery ladder: lu_ir_escalate promotes the factorization format.
+// Recovery ladder: escalate promotes the lu_ir factorization format.
 
 TEST(Resilience, LuIrEscalatesPastAHalfRangeFailure) {
   // ||A||_2 ~ 4e8 saturates every Half entry to maxpos: the factorization is
@@ -510,7 +510,8 @@ TEST(Resilience, LuIrEscalatesPastAHalfRangeFailure) {
   la::IrOptions opt;
   opt.resilience.enabled = true;
   Vec<double> x;
-  const auto rep = resilience::lu_ir_escalate<Half>(g.dense, b, x, opt);
+  const auto rep =
+      resilience::escalate<Half, scaling::GeneralScaling>(g.dense, b, x, opt);
   EXPECT_EQ(rep.status, la::SolveStatus::converged);
   ASSERT_FALSE(rep.recovery.empty());
   EXPECT_EQ(rep.recovery[0].action, "escalate:Float32Emu");
@@ -518,7 +519,8 @@ TEST(Resilience, LuIrEscalatesPastAHalfRangeFailure) {
   // Without resilience the same call is a plain (failing) lu_ir<Half>.
   la::IrOptions off;
   Vec<double> x2;
-  const auto plain = resilience::lu_ir_escalate<Half>(g.dense, b, x2, off);
+  const auto plain =
+      resilience::escalate<Half, scaling::GeneralScaling>(g.dense, b, x2, off);
   EXPECT_NE(plain.status, la::SolveStatus::converged);
   EXPECT_TRUE(plain.recovery.empty());
 }

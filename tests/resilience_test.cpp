@@ -230,13 +230,13 @@ TEST(Resilience, IrEscalatesPastAnUnderflowedHalfFactorization) {
 
   la::Vec<double> x;
   la::IrOptions opt;
-  const auto rep_off = resilience::ir_escalate<Half>(A, b, x, opt);
+  const auto rep_off = resilience::escalate<Half>(A, b, x, opt);
   EXPECT_EQ(rep_off.status, la::IrStatus::factorization_failed);
 
   opt.resilience.enabled = true;
   opt.resilience.max_shifts = 0;  // starve the shift ladder: only the
                                   // precision escalation can rescue this
-  const auto rep = resilience::ir_escalate<Half>(A, b, x, opt);
+  const auto rep = resilience::escalate<Half>(A, b, x, opt);
   EXPECT_EQ(rep.status, la::IrStatus::converged);
   ASSERT_FALSE(rep.recovery.empty());
   bool escalated = false;
@@ -258,7 +258,7 @@ TEST(Resilience, ShiftLadderAlsoRescuesHalfUnderflowWhenAllowed) {
   la::Vec<double> x;
   la::IrOptions opt;
   opt.resilience.enabled = true;
-  const auto rep = resilience::ir_escalate<Half>(A, b, x, opt);
+  const auto rep = resilience::escalate<Half>(A, b, x, opt);
   EXPECT_EQ(rep.status, la::IrStatus::converged);
   ASSERT_FALSE(rep.recovery.empty());
   EXPECT_EQ(rep.recovery.front().action, "shift");

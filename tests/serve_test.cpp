@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -246,6 +248,52 @@ TEST(ServeRequest, StrictParserNamesTheOffender) {
   EXPECT_EQ(req.solve.solver, core::Solver::gmres_ir);
   EXPECT_EQ(req.solve.precision.factor, "bf16");
   EXPECT_EQ(req.solve.precision.residual, "dd");
+}
+
+TEST(ServeRequest, IntKeysPastIntMaxNameTheKeyInsteadOfWrapping) {
+  serve::Request req;
+  std::string err;
+  for (const char* key : {"max_iter", "max_iter_per_n", "block"}) {
+    const std::string head =
+        std::string(R"({"schema":"pstab-serve-v1","solver":"cg",)") +
+        R"("matrix":"bcsstk01",")" + key + "\":";
+    EXPECT_FALSE(serve::request_from_json(head + "2147483648}", req, err))
+        << key;
+    EXPECT_NE(err.find(std::string("'") + key + "'"), std::string::npos)
+        << err;
+    EXPECT_FALSE(
+        serve::request_from_json(head + "18446744073709551615}", req, err))
+        << key;
+    ASSERT_TRUE(serve::request_from_json(head + "2147483647}", req, err))
+        << key << ": " << err;
+  }
+  EXPECT_EQ(req.solve.block, INT_MAX);
+}
+
+// The per-n iteration cap is computed in 64 bits: run_request rejects a
+// product past INT_MAX by naming the key, and effective_max_iter (what the
+// solvers read) saturates instead of wrapping negative.
+TEST(ServeRequest, PerNIterationCapNeverWraps) {
+  serve::Request req;
+  std::string err;
+  ASSERT_TRUE(serve::request_from_json(
+      R"({"schema":"pstab-serve-v1","solver":"cg","matrix":"bcsstk01",)"
+      R"("max_iter_per_n":50000000})",
+      req, err))
+      << err;
+  const core::SolveResponse resp = core::run_request(req.solve);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_NE(resp.error.find("'max_iter_per_n'"), std::string::npos)
+      << resp.error;
+
+  core::SolveRequest cg;
+  cg.solver = core::Solver::cg;
+  cg.max_iter_per_n = 50000000;
+  EXPECT_EQ(cg.effective_max_iter(48), INT_MAX);
+  cg.max_iter_per_n = INT_MAX;
+  EXPECT_EQ(cg.effective_max_iter(100000), INT_MAX);
+  cg.max_iter_per_n = 0;
+  EXPECT_EQ(cg.effective_max_iter(48), 15 * 48);
 }
 
 TEST(ServeResponse, EnvelopeGoldens) {
@@ -689,6 +737,35 @@ TEST(ServeCli, UnknownBackendNamesTheToken) {
       core::Solver::cg, "bcsstk02", int(argv.size()), argv.data(), 3);
   EXPECT_FALSE(p.ok);
   EXPECT_NE(p.error.find("sse9"), std::string::npos) << p.error;
+}
+
+TEST(ServeCli, NumericFlagsRejectBadOrOutOfRangeText) {
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"--tol", "abc"},          {"--tol", "-1e-5"},
+      {"--tol", "1e-5x"},        {"--tol", "inf"},
+      {"--max-iter", "12x"},     {"--max-iter", "-3"},
+      {"--max-iter", "3000000000"}, {"--max-iter-per-n", "lots"},
+      {"--max-iter-per-n", "2147483648"}, {"--budget", "99999999999"},
+      {"--block", "4294967297"}};
+  for (const auto& [flag, text] : bad) {
+    std::vector<std::string> args = {"pstab", "cg", "bcsstk02", flag, text};
+    std::vector<char*> argv = argv_of(args);
+    const core::CliParse p = core::parse_solver_cli(
+        core::Solver::cg, "bcsstk02", int(argv.size()), argv.data(), 3);
+    EXPECT_FALSE(p.ok) << flag << " " << text;
+    EXPECT_NE(p.error.find(flag), std::string::npos) << p.error;
+    EXPECT_NE(p.error.find(text), std::string::npos) << p.error;
+  }
+  std::vector<std::string> args = {"pstab", "cg",  "bcsstk02",
+                                   "--tol", "1e-6", "--max-iter-per-n",
+                                   "20",    "--max-iter", "2147483647"};
+  std::vector<char*> argv = argv_of(args);
+  const core::CliParse p = core::parse_solver_cli(
+      core::Solver::cg, "bcsstk02", int(argv.size()), argv.data(), 3);
+  ASSERT_TRUE(p.ok) << p.error;
+  EXPECT_EQ(p.req.tol, 1e-6);
+  EXPECT_EQ(p.req.max_iter_per_n, 20);
+  EXPECT_EQ(p.req.max_iter, INT_MAX);
 }
 
 }  // namespace
