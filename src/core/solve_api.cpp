@@ -1,5 +1,6 @@
 #include "core/solve_api.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -214,6 +215,19 @@ bool parse_count(const char* s, int& out) {
   return true;
 }
 
+/// The whole of `s` as an unsigned 64-bit integer (decimal, or 0x hex / 0
+/// octal as strtoull reads them); no sign, no trailing text.
+bool parse_u64(const char* s, std::uint64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  if (*s == '-' || *s == '+' || std::isspace(static_cast<unsigned char>(*s)))
+    return false;
+  const unsigned long long v = std::strtoull(s, &end, 0);
+  if (end == s || *end != '\0' || errno == ERANGE) return false;
+  out = v;
+  return true;
+}
+
 /// The whole of `s` as a finite non-negative number.
 bool parse_nonneg(const char* s, double& out) {
   char* end = nullptr;
@@ -267,7 +281,8 @@ CliParse parse_solver_cli(Solver solver, const std::string& matrix, int argc,
         bad_value(a, "a non-negative iteration count", argv[i]);
     } else if (std::strcmp(a, "--rhs-seed") == 0) {
       if (!has_value) { value_missing(a); break; }
-      p.req.rhs_seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!parse_u64(argv[++i], p.req.rhs_seed))
+        bad_value(a, "a non-negative integer seed", argv[i]);
     } else if (std::strcmp(a, "--budget") == 0) {
       if (!has_value) { value_missing(a); break; }
       if (!parse_count(argv[++i], p.req.budget_ticks))
@@ -367,7 +382,7 @@ SolveResponse run_request(const SolveRequest& req, ArtifactCache* cache) {
             // the actual buffers, so a sparse-only large-n matrix (empty
             // dense) is billed its real footprint, not O(n^2).
             return sizeof g + g.dense.data().size() * sizeof(double) +
-                   g.csr.nnz() * (2 * sizeof(double) + sizeof(int)) +
+                   g.csr.nnz() * (sizeof(double) + sizeof(int)) +
                    (std::size_t(g.csr.rows()) + 1) * sizeof(int);
           });
       m = held.get();

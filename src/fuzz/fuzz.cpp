@@ -12,9 +12,11 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ieee/softfloat.hpp"
+#include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/gmres.hpp"
 #include "la/ir.hpp"
@@ -908,25 +910,82 @@ template <class T>
 // the scalar kernels, on every ISA the host can execute.  Cases carry a
 // (length, stream seed) shape instead of raw operands: the vectors are
 // re-expanded from the seed with the boundary-biased posit pattern generator,
-// which keeps replay records one line long at any chain length.  Bit identity
-// per ISA is the verdict; a host with no vector ISA degenerates to
+// which keeps replay records one line long at any chain length.  The spmv op
+// reads its length as the row count of a square CSR matrix whose rows hold
+// 0-20 terms in distinct columns, all drawn from the same stream.  Bit
+// identity per ISA is the verdict; a host with no vector ISA degenerates to
 // scalar-vs-scalar and trivially passes (the CI ISA matrix keeps the vector
 // legs exercised).
 
 template <int N, int ES>
 [[nodiscard]] u64 gen_posit_pattern(SplitMix64& r);
 
+/// Runs `check` on every executable vector ISA, then through the unforced
+/// dispatch (kill switch / env honored as-is).
+template <class F>
+[[nodiscard]] Verdict per_isa(F&& check) {
+  namespace simd = la::kernels::simd;
+  for (const simd::Isa isa :
+       {simd::Isa::kAvx2, simd::Isa::kAvx512, simd::Isa::kNeon}) {
+    if (!simd::available(isa)) continue;
+    if (!simd::force_isa(isa)) continue;
+    Verdict v = check();
+    simd::clear_forced_isa();
+    if (!v.ok) {
+      v.detail = std::string(simd::isa_name(isa)) + ": " + v.detail;
+      return v;
+    }
+  }
+  return check();
+}
+
+template <int N, int ES>
+[[nodiscard]] Verdict check_simd_spmv(const Case& c) {
+  using P = Posit<N, ES>;
+  namespace ker = la::kernels;
+  const int n = int(c.args[0]);
+  SplitMix64 r(c.args[1]);
+  std::vector<std::tuple<int, int, double>> trips;
+  std::vector<int> cols;
+  for (int i = 0; i < n; ++i) {
+    const int len = int(std::min<u64>(r.below(21), u64(n)));
+    cols.clear();
+    while (int(cols.size()) < len) {
+      const int j = int(r.below(u64(n)));
+      if (std::find(cols.begin(), cols.end(), j) == cols.end())
+        cols.push_back(j);
+    }
+    for (const int j : cols)
+      trips.emplace_back(
+          i, j, P::from_bits(gen_posit_pattern<N, ES>(r)).to_double());
+  }
+  const auto A = la::Csr<P>::from_triplets(n, n, std::move(trips));
+  la::Vec<P> x(static_cast<std::size_t>(n));
+  for (auto& v : x) v = P::from_bits(gen_posit_pattern<N, ES>(r));
+
+  la::Vec<P> ref;
+  ker::spmv(ker::Context{ker::Backend::Scalar}, A, x, ref);
+  return per_isa([&]() -> Verdict {
+    la::Vec<P> y;
+    ker::spmv(ker::Context{ker::Backend::Simd}, A, x, y);
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      if (y[i].bits() != ref[i].bits())
+        return fail_bits("spmv", ref[i].bits(), y[i].bits());
+    return {};
+  });
+}
+
 template <int N, int ES>
 [[nodiscard]] Verdict check_simd(const Case& c) {
   using P = Posit<N, ES>;
   namespace ker = la::kernels;
-  namespace simd = la::kernels::simd;
   const std::size_t arity = c.op == "chain" ? 3 : 2;
   if (c.args.size() != arity) return fail("malformed: bad arity for " + c.op);
   const u64 n = c.args[0];
   if (n < 1 || n > 8192) return fail("malformed: simd length out of range");
-  if (c.op != "dot" && c.op != "chain" && c.op != "axpy")
+  if (c.op != "dot" && c.op != "chain" && c.op != "axpy" && c.op != "spmv")
     return fail("malformed: unknown simd op " + c.op);
+  if (c.op == "spmv") return check_simd_spmv<N, ES>(c);
 
   // Deterministic expansion: scalar knobs first (statement order!), then the
   // operand vectors.  The generator's special-value branches seed NaR and
@@ -973,24 +1032,13 @@ template <int N, int ES>
     return {};
   };
 
-  for (const simd::Isa isa :
-       {simd::Isa::kAvx2, simd::Isa::kAvx512, simd::Isa::kNeon}) {
-    if (!simd::available(isa)) continue;
-    if (!simd::force_isa(isa)) continue;
-    Verdict v = run_vector();
-    simd::clear_forced_isa();
-    if (!v.ok) {
-      v.detail = std::string(simd::isa_name(isa)) + ": " + v.detail;
-      return v;
-    }
-  }
-  // And through the unforced dispatch (kill switch / env honored as-is).
-  return run_vector();
+  return per_isa(run_vector);
 }
 
 [[nodiscard]] Verdict check_simd(const Case& c) {
   if (c.format == "p16_1") return check_simd<16, 1>(c);
   if (c.format == "p32_2") return check_simd<32, 2>(c);
+  if (c.format == "p32_3") return check_simd<32, 3>(c);
   return fail("malformed: unknown simd format " + c.format);
 }
 
@@ -1199,9 +1247,10 @@ template <int E, int M>
 [[nodiscard]] Case gen_simd_case(SplitMix64& r) {
   Case c;
   c.surface = "simd";
-  c.format = r.below(2) ? "p32_2" : "p16_1";
-  static constexpr const char* kOps[] = {"dot", "chain", "axpy"};
-  c.op = kOps[r.below(3)];
+  static constexpr const char* kFmts[] = {"p16_1", "p32_2", "p32_3"};
+  c.format = kFmts[r.below(3)];
+  static constexpr const char* kOps[] = {"dot", "chain", "axpy", "spmv"};
+  c.op = kOps[r.below(4)];
   // Lengths biased to the vector edges: sub-lane tails, the lane count
   // itself, the 128-element block boundary, and occasional long chains.
   u64 n = 0;

@@ -30,20 +30,23 @@ class Csr {
     m.rows_ = rows;
     m.cols_ = cols;
     m.ptr_.assign(rows + 1, 0);
+    std::vector<double> vals;
+    int last_row = -1;
     for (std::size_t k = 0; k < trips.size(); ++k) {
       const auto [i, j, v] = trips[k];
       assert(0 <= i && i < rows && 0 <= j && j < cols);
-      if (!m.col_.empty() && m.last_row_ == i && m.col_.back() == j) {
-        m.vals_d_.back() += v;  // duplicate entry: accumulate
+      if (!m.col_.empty() && last_row == i && m.col_.back() == j) {
+        vals.back() += v;  // duplicate entry: accumulate
       } else {
         m.col_.push_back(j);
-        m.vals_d_.push_back(v);
-        m.last_row_ = i;
+        vals.push_back(v);
+        last_row = i;
         ++m.ptr_[i + 1];
       }
     }
     for (int i = 0; i < rows; ++i) m.ptr_[i + 1] += m.ptr_[i];
-    m.val_ = kernels::from_double_vec<T>(m.vals_d_);
+    m.val_ = kernels::from_double_vec<T>(vals);
+    m.build_sell();
     return m;
   }
 
@@ -63,6 +66,12 @@ class Csr {
   [[nodiscard]] const std::vector<int>& row_ptr() const noexcept { return ptr_; }
   [[nodiscard]] const std::vector<int>& col_idx() const noexcept { return col_; }
   [[nodiscard]] const std::vector<T>& values() const noexcept { return val_; }
+  /// The decoded SELL-C plane the lane-per-row vector SpMV reads; empty for
+  /// formats without that leg (kernels::simd::ops<T>::lane_spmv).  Rebuilt
+  /// by every constructor and mutator, so it always matches values().
+  [[nodiscard]] const kernels::simd::SellPlane& sell() const noexcept {
+    return sell_;
+  }
 
   /// y = A * x with per-operation rounding in T.  Large matrices are
   /// row-partitioned over fixed index-owned tiles (kernels.hpp thresholds);
@@ -106,8 +115,8 @@ class Csr {
     r.cols_ = cols_;
     r.ptr_ = ptr_;
     r.col_ = col_;
-    r.vals_d_ = vals_d_;
     r.val_ = kernels::from_double_vec<U>(kernels::to_double_vec(val_));
+    r.build_sell();
     return r;
   }
 
@@ -116,18 +125,25 @@ class Csr {
   void scale_values(double s) {
     for (auto& v : val_)
       v = scalar_traits<T>::from_double(scalar_traits<T>::to_double(v) * s);
-    for (auto& v : vals_d_) v *= s;
+    build_sell();
   }
 
   template <class U>
   friend class Csr;
 
  private:
+  void build_sell() {
+    if constexpr (kernels::simd::ops<T>::lane_spmv) {
+      const auto vd = kernels::to_double_vec(val_);
+      sell_ = kernels::simd::make_sell_plane(rows_, ptr_.data(), col_.data(),
+                                             vd.data());
+    }
+  }
+
   int rows_ = 0, cols_ = 0;
-  int last_row_ = -1;
   std::vector<int> ptr_, col_;
   std::vector<T> val_;
-  std::vector<double> vals_d_;  // original-precision values (for casts)
+  kernels::simd::SellPlane sell_;
 };
 
 }  // namespace pstab::la

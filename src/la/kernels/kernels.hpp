@@ -9,9 +9,11 @@
 //   * Batched — decoded-plane kernels (la/kernels/batched.hpp), bit-identical
 //               to Scalar by construction.
 //   * Simd    — runtime-dispatched vector kernels (la/kernels/simd/) for
-//               Posit<16,1> / Posit<32,2>, bit-identical to Scalar; falls
-//               back to the scalar paths when no vector ISA is active or the
-//               kernel has no vector variant (dot_fused, spmv).
+//               Posit<16,1> / Posit<32,2> / Posit<32,3>, bit-identical to
+//               Scalar; falls back to the scalar paths when no vector ISA is
+//               active or the kernel has no vector variant (dot_fused, and
+//               spmv for Posit<16,1>).  The 32-bit spmv runs one row per
+//               lane over the matrix's SELL-C plane (Csr::sell()).
 //   * Auto    — Simd (then Batched) for supported formats and non-tiny
 //               vectors, unless the process default says otherwise (below).
 //
@@ -477,9 +479,30 @@ void gemv(const Context& c, const Dense<T>& A, const Vec<T>& x, Vec<T>& y) {
 }
 
 /// y = A * x for CSR A: the x plane is decoded once and shared across the
-/// row tiles.
+/// row tiles.  The vector leg runs one row per lane over A.sell(); the tiles
+/// are multiples of its chunk height, so every tile owns whole chunks.
 template <class T>
 void spmv(const Context& c, const Csr<T>& A, const Vec<T>& x, Vec<T>& y) {
+  static_assert(kSparseRowTile % simd::SellPlane::kC == 0);
+  if constexpr (simd::ops<T>::lane_spmv) {
+    if (use_simd<T>(c, x.size())) {
+      const int rows = A.rows();
+      y.assign(static_cast<std::size_t>(rows), scalar_traits<T>::zero());
+      const auto& tbl = simd::ops<T>::table(*simd::active_tables());
+      std::vector<double> xd(x.size());
+      tbl.decode_f64(x.data(), x.size(), xd.data());
+      const auto run = [&](std::size_t lo, std::size_t hi) {
+        tbl.spmv(A.sell(), xd.data(), y.data(), static_cast<int>(lo),
+                 static_cast<int>(hi));
+      };
+      if (rows >= kParMinSparseRows)
+        pstab::parallel_tiles(static_cast<std::size_t>(rows),
+                              static_cast<std::size_t>(kSparseRowTile), run);
+      else
+        run(0, static_cast<std::size_t>(rows));
+      return;
+    }
+  }
   if constexpr (batched::ops<T>::supported) {
     if (use_batched<T>(c, x.size())) {
       const int rows = A.rows();

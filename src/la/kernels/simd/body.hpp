@@ -122,6 +122,22 @@ inline f64v gather_f(const double* base, u64v idx) noexcept {
 #endif
 }
 
+/// base[idx[l]] per lane for kLanes consecutive 32-bit indices (the SpMV
+/// column gather).
+inline f64v gather_f(const double* base, const int* idx) noexcept {
+#if defined(__AVX2__) && PSTAB_SIMD_LANES == 4 && !defined(__AVX512F__)
+  return (f64v)_mm256_i32gather_pd(
+      base, _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), 8);
+#elif defined(__AVX512F__) && PSTAB_SIMD_LANES == 8
+  return (f64v)_mm512_i32gather_pd(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), base, 8);
+#else
+  f64v c;
+  for (int l = 0; l < kLanes; ++l) c[l] = base[idx[l]];
+  return c;
+#endif
+}
+
 /// 31 - floor(log2(u)) for u in [1, 2^32): the leading-zero count inside a
 /// 32-bit window.  The generic leg computes the msb with the OR-magic FP
 /// trick (bits.hpp msb_via_f64: one f64 subtract per lane); AVX-512 has a
@@ -514,6 +530,93 @@ struct VOps {
     }
   }
 
+  // -- lane-per-row SpMV ----------------------------------------------------
+
+  // The integer-core replays of flagged lanes, kept out of line so the rare
+  // path does not cost the hot loop its registers.
+  [[gnu::noinline]] static f64v replay_mul(f64v r, u64v fix, f64v a,
+                                           f64v b) noexcept {
+    for (int l = 0; l < kLanes; ++l)
+      if (fix[l]) r[l] = fd::mul_round_f64<P>(a[l], b[l]);
+    return r;
+  }
+  [[gnu::noinline]] static f64v replay_add(f64v r, u64v fix, f64v x,
+                                           f64v t) noexcept {
+    for (int l = 0; l < kLanes; ++l)
+      if (fix[l]) r[l] = fd::add_round_f64<P>(x[l], t[l]);
+    return r;
+  }
+
+  /// Rows [r0, r1) of y = A * x over the SELL-C plane, one row per lane.
+  /// Each lane runs its row's scalar chain s = round(s + round(a_k * x_k)) in
+  /// CSR term order through the single-op rounds, so no chain is
+  /// reassociated; a lane that a round flags replays that one op through the
+  /// integer core.  A lane past its row's length keeps s: its padding slot
+  /// holds 0.0, which would still poison s against a NaR x.  Chunks run G at
+  /// a time so four independent vector chains are in flight.
+  static void spmv(const SellPlane& A, const double* xd, P* y, int r0,
+                   int r1) {
+    constexpr int C = SellPlane::kC;
+    static_assert(C % kLanes == 0, "a chunk is whole vectors");
+    constexpr int VC = C / kLanes;          // vectors per chunk
+    constexpr int G = VC >= 4 ? 1 : 4 / VC;  // chunks per pass
+    constexpr int NV = G * VC;
+    const double* val = A.val.data();
+    const int* col = A.col.data();
+    const int cend = (r1 + C - 1) / C;
+    for (int c0 = r0 / C; c0 < cend; c0 += G) {
+      const int g = std::min(G, cend - c0);
+      std::size_t base[NV];
+      int w[NV];
+      i64v len[NV];
+      f64v s[NV];
+      int wmax = 0;
+      for (int v = 0; v < NV; ++v) {
+        const int c = c0 + v / VC;
+        const std::size_t lane0 = std::size_t(v % VC) * kLanes;
+        s[v] = f64v{};
+        len[v] = i64v{};
+        base[v] = 0;
+        w[v] = 0;
+        if (v / VC >= g) continue;
+        base[v] = std::size_t(A.chunk[std::size_t(c)]) * C + lane0;
+        w[v] = A.chunk[std::size_t(c) + 1] - A.chunk[std::size_t(c)];
+        for (int l = 0; l < kLanes; ++l)
+          len[v][l] = A.len[std::size_t(c) * C + lane0 + std::size_t(l)];
+        wmax = std::max(wmax, w[v]);
+      }
+      for (int j = 0; j < wmax; ++j) {
+        const i64v jv = splat_i(j);
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) {
+          if (j >= w[v]) continue;
+          const std::size_t at = base[v] + std::size_t(j) * C;
+          const f64v a = load_f(val + at);
+          const f64v xv = gather_f(xd, col + at);
+          const u64v act = as_u(jv < len[v]);
+          const VR m = vmul_round(a, xv);
+          f64v t = m.r;
+          if (any(m.fix & act)) [[unlikely]]
+            t = replay_mul(t, m.fix & act, a, xv);
+          const VR r = vadd_round(s[v], t);
+          f64v ns = r.r;
+          if (any(r.fix & act)) [[unlikely]]
+            ns = replay_add(ns, r.fix & act, s[v], t);
+          s[v] = blend_f(act, ns, s[v]);
+        }
+      }
+      for (int v = 0; v < NV && v / VC < g; ++v) {
+        const int row = (c0 + v / VC) * C + (v % VC) * kLanes;
+        const u64v pats = vencode(s[v]);
+        if (row + kLanes <= r1) {
+          store_p(y + row, pats);
+        } else {
+          for (int l = 0; row + l < r1; ++l) y[row + l] = P::from_bits(pats[l]);
+        }
+      }
+    }
+  }
+
   // -- elementwise kernels --------------------------------------------------
 
   static void decode_f64(const P* x, std::size_t n, double* out) {
@@ -639,16 +742,20 @@ struct VOps {
 template <class P>
 Kernels<P> make_kernels() noexcept {
   using V = VOps<P>;
-  return Kernels<P>{&V::dot,    &V::update_chain, &V::axpy,
-                    &V::scal,   &V::xpby,         &V::gemv,
-                    &V::decode_f64, &V::encode_f64, &V::mul_round};
+  Kernels<P> k{&V::dot,        &V::update_chain, &V::axpy,
+               &V::scal,       &V::xpby,         &V::gemv,
+               &V::decode_f64, &V::encode_f64,   &V::mul_round,
+               nullptr};
+  if constexpr (ops<P>::lane_spmv) k.spmv = &V::spmv;
+  return k;
 }
 
 }  // namespace
 
 const IsaTables& tables() noexcept {
   static const IsaTables t{make_kernels<Posit<16, 1>>(),
-                           make_kernels<Posit<32, 2>>()};
+                           make_kernels<Posit<32, 2>>(),
+                           make_kernels<Posit<32, 3>>()};
   return t;
 }
 

@@ -1,8 +1,9 @@
 // The f64-domain core shared by every SIMD ISA leg (la/kernels/simd/).
 //
-// Every finite Posit<16,1> / Posit<32,2> value is exactly representable as an
-// IEEE double (<= 28 significant bits), so the vector legs do posit
-// arithmetic in the f64 domain and pin the posit rounding with two tricks:
+// Every finite Posit<16,1> / Posit<32,2> / Posit<32,3> value is exactly
+// representable as an IEEE double (<= 28 significant bits), so the vector
+// legs do posit arithmetic in the f64 domain and pin the posit rounding with
+// two tricks:
 //
 //  * Single-op rounds (products, sums): round-to-odd at 53 bits — fl(a op b)
 //    plus the exact FMA/TwoSum residual folded into the pattern LSB — then
@@ -10,6 +11,7 @@
 //    (RoundTable below).  Valid whenever the result binade keeps fb >= 1
 //    posit fraction bits; C == 0.0 marks the (rare) taper/saturation binades
 //    that re-run the proven integer core.
+//    The lane-per-row SpMV chains these single-op rounds, one row per lane.
 //  * The serial accumulate chain (dot/gemv/update_chain): FpChain holds the
 //    accumulator as T = C + r so ONE hardware FP add per term performs the
 //    exact add AND the posit-ulp RNE.  Unsigned pattern-range compares detect
@@ -106,6 +108,29 @@ PSTAB_HOT_INLINE double mul_round_slot(P a, P b) noexcept {
   const U u = pstab::detail::posit_round_unpacked<P::nbits, P::es>(
       m.sign, m.scale, m.frac, m.sticky);
   return unp_to_f64(u);
+}
+
+/// round(a * b) for format values held as exact doubles (NaN = NaR).
+template <class P>
+PSTAB_HOT_INLINE double mul_round_f64(double a, double b) noexcept {
+  if (std::isnan(a) || std::isnan(b))
+    return std::numeric_limits<double>::quiet_NaN();
+  if (a == 0.0 || b == 0.0) return 0.0;
+  const auto m = pstab::detail::mul_exact(f64_to_unp(a), f64_to_unp(b));
+  return unp_to_f64(pstab::detail::posit_round_unpacked<P::nbits, P::es>(
+      m.sign, m.scale, m.frac, m.sticky));
+}
+
+/// round(s + t) for format values held as exact doubles (NaN = NaR).
+template <class P>
+PSTAB_HOT_INLINE double add_round_f64(double s, double t) noexcept {
+  if (std::isnan(s) || std::isnan(t))
+    return std::numeric_limits<double>::quiet_NaN();
+  if (s == 0.0) return t;
+  if (t == 0.0) return s;
+  U x = f64_to_unp(s);
+  if (!batched::ops<P>::chain_add(x, f64_to_unp(t))) return 0.0;
+  return unp_to_f64(x);
 }
 
 /// y_i slot of batched axpy (alpha non-special, pre-decoded).

@@ -8,6 +8,7 @@
 // vector legs entirely rather than silently mis-rounding.
 #include "la/kernels/simd/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cfenv>
 #include <cstdlib>
@@ -175,6 +176,36 @@ bool force_isa(Isa i) noexcept {
 
 void clear_forced_isa() noexcept {
   g_forced.store(-1, std::memory_order_relaxed);
+}
+
+SellPlane make_sell_plane(int rows, const int* ptr, const int* col,
+                          const double* val) {
+  constexpr int C = SellPlane::kC;
+  const int nchunks = (rows + C - 1) / C;
+  SellPlane s;
+  s.len.assign(std::size_t(nchunks) * C, 0);
+  s.chunk.assign(std::size_t(nchunks) + 1, 0);
+  for (int c = 0; c < nchunks; ++c) {
+    int w = 0;
+    for (int r = c * C; r < rows && r < (c + 1) * C; ++r) {
+      s.len[std::size_t(r)] = ptr[r + 1] - ptr[r];
+      w = std::max(w, s.len[std::size_t(r)]);
+    }
+    s.chunk[std::size_t(c) + 1] = s.chunk[std::size_t(c)] + w;
+  }
+  const std::size_t slots = std::size_t(s.chunk.back()) * C;
+  s.col.assign(slots, 0);
+  s.val.assign(slots, 0.0);
+  for (int r = 0; r < rows; ++r) {
+    const std::size_t base = std::size_t(s.chunk[std::size_t(r / C)]) * C +
+                             std::size_t(r % C);
+    for (int k = ptr[r]; k < ptr[r + 1]; ++k) {
+      const std::size_t at = base + std::size_t(k - ptr[r]) * C;
+      s.col[at] = col[k];
+      s.val[at] = val[k];
+    }
+  }
+  return s;
 }
 
 }  // namespace pstab::la::kernels::simd

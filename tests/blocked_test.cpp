@@ -285,11 +285,18 @@ TEST(ThreadDeterminism, BlockedFactorsIdenticalAcrossThreadCounts) {
   }
 }
 
+/// n just above kParMinSparseRows so the row partition actually engages.
+const matrices::GeneratedMatrix& spmv_det_matrix() {
+  static const matrices::GeneratedMatrix g = [] {
+    matrices::MatrixSpec spec{"spmv_det", 9000, 62994, 1.0e4, 1.0, 1.0e4};
+    spec.sparse_only = true;
+    return matrices::generate_spd_sparse(spec);
+  }();
+  return g;
+}
+
 TEST(ThreadDeterminism, SpmvBytesIdenticalAcrossThreadCounts) {
-  // n just above kParMinSparseRows so the row partition actually engages.
-  matrices::MatrixSpec spec{"spmv_det", 9000, 62994, 1.0e4, 1.0, 1.0e4};
-  spec.sparse_only = true;
-  const auto g = matrices::generate_spd_sparse(spec);
+  const auto& g = spmv_det_matrix();
   ASSERT_EQ(g.n, 9000);
   ASSERT_EQ(g.dense.rows(), 0);  // sparse-only: never densified
   Vec<double> x(g.n);
@@ -308,6 +315,33 @@ TEST(ThreadDeterminism, SpmvBytesIdenticalAcrossThreadCounts) {
     g.csr.spmv(x, yt);
     EXPECT_TRUE(bits_equal(y1, yt));
   }
+}
+
+/// The backend SpMV under Auto (the lane-per-row vector leg for the 32-bit
+/// posits when a vector ISA is active, else the decoded-plane rows) over the
+/// same fixed row tiles: the bytes match the scalar rows at any thread count.
+template <class P>
+void check_spmv_kernel_threads() {
+  const auto& g = spmv_det_matrix();
+  const auto A = g.csr.cast<P>();
+  std::mt19937_64 rng(35);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  Vec<P> x(static_cast<std::size_t>(g.n));
+  for (auto& v : x) v = P(dist(rng));
+  Vec<P> ref;
+  ker::spmv(ker::Context{ker::Backend::Scalar}, A, x, ref);
+  for (const char* threads : {"1", "8", "32"}) {
+    SCOPED_TRACE(std::string("PSTAB_THREADS=") + threads);
+    ThreadsGuard t(threads);
+    Vec<P> y;
+    ker::spmv(ker::Context{ker::Backend::Auto}, A, x, y);
+    EXPECT_TRUE(bits_equal(ref, y));
+  }
+}
+
+TEST(ThreadDeterminism, SpmvKernelAutoBytesIdenticalAcrossThreadCounts) {
+  check_spmv_kernel_threads<Posit32_2>();
+  check_spmv_kernel_threads<Posit32_3>();
 }
 
 TEST(ThreadDeterminism, DenseGemvBytesIdenticalAcrossThreadCounts) {

@@ -121,7 +121,7 @@ TEST(CsrEdge, ScaleValuesAffectsCastsToo) {
   const auto d = m.to_dense();
   EXPECT_EQ(d(0, 0), 1.0);
   EXPECT_EQ(d(1, 1), 2.0);
-  // Cast sees the scaled values (vals_d_ kept in sync).
+  // Cast re-rounds from the scaled values.
   const auto mp = m.cast<Posit16_2>();
   EXPECT_EQ(mp.to_dense()(0, 0).to_double(), 1.0);
 }

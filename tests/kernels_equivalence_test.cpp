@@ -9,10 +9,14 @@
 // kernels_exhaustive_test.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/experiments.hpp"
@@ -471,6 +475,8 @@ TEST(SimdEquivalence, PerIsaBlas) {
     check_simd_blas<Posit16_1>(true);
     check_simd_blas<Posit32_2>(false);
     check_simd_blas<Posit32_2>(true);
+    check_simd_blas<Posit32_3>(false);
+    check_simd_blas<Posit32_3>(true);
   }
 }
 
@@ -512,6 +518,81 @@ TEST(SimdEquivalence, NaRPropagationPerIsa) {
     };
     poison(Posit16_1{});
     poison(Posit32_2{});
+    poison(Posit32_3{});
+  }
+}
+
+// Lane-per-row SpMV against the scalar rows on a matrix built for the chunk
+// edges: empty rows, rows shorter and longer than a chunk, a row count that
+// is not a multiple of the chunk height, and NaR / zero / taper entries in
+// both A and x.  The plane must follow every constructor and mutator.
+template <class T>
+std::vector<std::tuple<int, int, double>> spmv_edge_triplets(int rows,
+                                                             int cols) {
+  std::mt19937_64 rng(6100);
+  std::uniform_real_distribution<double> dist(-3.0, 3.0);
+  const auto dbl = [](T v) { return scalar_traits<T>::to_double(v); };
+  const double special[] = {0.0,
+                            std::nan(""),
+                            dbl(T::maxpos()),
+                            -dbl(T::minpos()),
+                            dbl(T::from_bits(T::maxpos().bits() - 3)),
+                            -dbl(T::from_bits(5))};
+  static constexpr int kLens[] = {0, 1, 3, 7, 8, 9, 17, 41};
+  std::vector<int> perm(static_cast<std::size_t>(cols));
+  for (int j = 0; j < cols; ++j) perm[std::size_t(j)] = j;
+  std::vector<std::tuple<int, int, double>> trips;
+  for (int i = 0; i < rows; ++i) {
+    const int len = std::min(cols, kLens[rng() % std::size(kLens)]);
+    std::shuffle(perm.begin(), perm.end(), rng);
+    for (int k = 0; k < len; ++k) {
+      const double v =
+          rng() % 6 == 0 ? special[rng() % std::size(special)] : dist(rng);
+      trips.emplace_back(i, perm[std::size_t(k)], v);
+    }
+  }
+  return trips;
+}
+
+template <class T>
+void check_simd_spmv() {
+  const int rows = 8 * 5 + 3, cols = 41;
+  const auto trips = spmv_edge_triplets<T>(rows, cols);
+  auto direct = la::Csr<T>::from_triplets(rows, cols, trips);
+  const auto cast = la::Csr<double>::from_triplets(rows, cols, trips)
+                        .template cast<T>();
+  const T taper = T::from_bits(T::maxpos().bits() - 3);
+  const auto check = [&](const la::Csr<T>& A, const char* what) {
+    SCOPED_TRACE(what);
+    for (unsigned seed = 0; seed < 12; ++seed) {
+      SCOPED_TRACE("x seed " + std::to_string(seed));
+      auto x = rand_vec<T>(cols, 6200 + seed, seed % 2 == 0);
+      if (seed % 3 == 0) {
+        x[seed % cols] = taper;
+        x[(seed + 7) % cols] = -T::from_bits(5);
+      }
+      // Padding slots read column 0: a NaR there must not reach rows that
+      // do not use it.
+      if (seed % 4 == 1) x[0] = T::nar();
+      la::Vec<T> ys, yv;
+      ker::spmv(kScalar, A, x, ys);
+      ker::spmv(kSimd, A, x, yv);
+      EXPECT_TRUE(bits_equal(ys, yv));
+    }
+  };
+  check(direct, "from_triplets");
+  check(cast, "cast");
+  direct.scale_values(0.75);
+  check(direct, "scale_values");
+}
+
+TEST(SimdEquivalence, SpmvPerIsa) {
+  for (const simd::Isa isa : vector_isas()) {
+    ForcedIsa f(isa);
+    ASSERT_TRUE(f.honored());
+    SCOPED_TRACE(simd::isa_name(isa));
+    check_simd_spmv<Posit32_2>();
+    check_simd_spmv<Posit32_3>();
   }
 }
 
@@ -562,6 +643,7 @@ TEST(KernelsEquivalence, BackendGridAcrossThreadsAndIsa) {
   const auto grid = [] {
     check_backend_grid<Posit16_1>();
     check_backend_grid<Posit32_2>();
+    check_backend_grid<Posit32_3>();
     check_backend_grid<Half>();
   };
   for (const char* threads : {"1", "8"}) {
@@ -583,6 +665,7 @@ TEST(SimdDispatch, ExplicitBackendRoutesWhenIsaActive) {
   if (isas.empty()) GTEST_SKIP() << "no vector ISA on this runner";
   ForcedIsa f(isas.front());
   EXPECT_TRUE(ker::use_simd<Posit32_2>(kSimd, 1));  // no size floor
+  EXPECT_TRUE(ker::use_simd<Posit32_3>(kSimd, 1));
   EXPECT_TRUE(ker::use_simd<Posit16_1>(kSimd, 1));
   EXPECT_FALSE(ker::use_simd<Posit32_2>(kScalar, 1 << 20));
   EXPECT_FALSE(ker::use_simd<Posit32_2>(kBatched, 1 << 20));
@@ -657,7 +740,11 @@ TEST(SimdDispatch, TelemetryForcesScalar) {
 TEST(SimdDispatch, UnsupportedFormatsStayScalar) {
   EXPECT_FALSE(ker::use_simd<Half>(kSimd, 4096));
   EXPECT_FALSE(ker::use_simd<float>(kSimd, 4096));
-  EXPECT_FALSE(ker::use_simd<Posit32_3>(kSimd, 4096));
+  EXPECT_FALSE(ker::use_simd<Posit16_2>(kSimd, 4096));
+  // The lane-per-row SpMV is a 32-bit leg only.
+  EXPECT_FALSE(simd::ops<Posit16_1>::lane_spmv);
+  EXPECT_TRUE(simd::ops<Posit32_2>::lane_spmv);
+  EXPECT_TRUE(simd::ops<Posit32_3>::lane_spmv);
 }
 
 TEST(SimdDispatch, ParseIsaNamesRoundTrip) {
@@ -677,23 +764,29 @@ TEST(SimdDispatch, ParseIsaNamesRoundTrip) {
 // ---------------------------------------------------------------------------
 // Solver-level identity for the vector backend, per available ISA.
 
-TEST(KernelsSolvers, CgSimdBackendInvariantPerIsa) {
+template <class T>
+void check_cg_simd_per_isa() {
   const auto& m = matrices::suite_matrix("bcsstk02");
   const la::Vec<double> b(static_cast<std::size_t>(m.csr.rows()), 1.0);
   la::CgOptions optS;
   optS.kernels = kScalar;
-  const auto cs = core::cg_in_format<Posit32_2>(m.csr, b, optS);
+  const auto cs = core::cg_in_format<T>(m.csr, b, optS);
   for (const simd::Isa isa : vector_isas()) {
     ForcedIsa f(isa);
     SCOPED_TRACE(simd::isa_name(isa));
     la::CgOptions optV;
     optV.kernels = kSimd;
-    const auto cv = core::cg_in_format<Posit32_2>(m.csr, b, optV);
+    const auto cv = core::cg_in_format<T>(m.csr, b, optV);
     EXPECT_EQ(cs.status, cv.status);
     EXPECT_EQ(cs.iterations, cv.iterations);
     EXPECT_EQ(cs.final_relres, cv.final_relres);
     EXPECT_EQ(cs.true_relres, cv.true_relres);
   }
+}
+
+TEST(KernelsSolvers, CgSimdBackendInvariantPerIsa) {
+  check_cg_simd_per_isa<Posit32_2>();
+  check_cg_simd_per_isa<Posit32_3>();
 }
 
 TEST(KernelsSolvers, CholeskySimdBackendInvariantPerIsa) {

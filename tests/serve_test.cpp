@@ -746,7 +746,9 @@ TEST(ServeCli, NumericFlagsRejectBadOrOutOfRangeText) {
       {"--max-iter", "12x"},     {"--max-iter", "-3"},
       {"--max-iter", "3000000000"}, {"--max-iter-per-n", "lots"},
       {"--max-iter-per-n", "2147483648"}, {"--budget", "99999999999"},
-      {"--block", "4294967297"}};
+      {"--block", "4294967297"},  {"--rhs-seed", "abc"},
+      {"--rhs-seed", "7x"},       {"--rhs-seed", "-1"},
+      {"--rhs-seed", "18446744073709551616"}};
   for (const auto& [flag, text] : bad) {
     std::vector<std::string> args = {"pstab", "cg", "bcsstk02", flag, text};
     std::vector<char*> argv = argv_of(args);
@@ -758,7 +760,8 @@ TEST(ServeCli, NumericFlagsRejectBadOrOutOfRangeText) {
   }
   std::vector<std::string> args = {"pstab", "cg",  "bcsstk02",
                                    "--tol", "1e-6", "--max-iter-per-n",
-                                   "20",    "--max-iter", "2147483647"};
+                                   "20",    "--max-iter", "2147483647",
+                                   "--rhs-seed", "18446744073709551615"};
   std::vector<char*> argv = argv_of(args);
   const core::CliParse p = core::parse_solver_cli(
       core::Solver::cg, "bcsstk02", int(argv.size()), argv.data(), 3);
@@ -766,6 +769,7 @@ TEST(ServeCli, NumericFlagsRejectBadOrOutOfRangeText) {
   EXPECT_EQ(p.req.tol, 1e-6);
   EXPECT_EQ(p.req.max_iter_per_n, 20);
   EXPECT_EQ(p.req.max_iter, INT_MAX);
+  EXPECT_EQ(p.req.rhs_seed, UINT64_MAX);
 }
 
 }  // namespace
