@@ -57,6 +57,13 @@ std::string key_digest(const matrices::GeneratedMatrix& m) {
                            "' without a content digest");
   return digest_hex(*m.digest);
 }
+
+la::ResidualPrec residual_prec(const std::string& s) {
+  if (s == "dd") return la::ResidualPrec::dd;
+  if (s == "quire") return la::ResidualPrec::quire;
+  return la::ResidualPrec::working;
+}
+
 }  // namespace
 
 la::Vec<double> request_rhs(const matrices::GeneratedMatrix& m,
@@ -350,6 +357,7 @@ la::IrReport ir_one_format(const matrices::GeneratedMatrix& m,
   la::IrOptions iro;
   iro.tol = req.effective_tol();
   iro.max_iter = req.effective_max_iter(m.n);
+  iro.residual = residual_prec(req.effective_residual());
   iro.record_history = req.record_history;
   iro.record_trace = req.record_trace;
   iro.kernels = req.kernel_context();
@@ -516,12 +524,6 @@ std::shared_ptr<const la::LuResult<F>> lu_factor_cached(
         return sizeof f + f.lu.data().size() * sizeof(F) +
                f.perm.size() * sizeof(int);
       });
-}
-
-la::ResidualPrec residual_prec(const std::string& s) {
-  if (s == "dd") return la::ResidualPrec::dd;
-  if (s == "quire") return la::ResidualPrec::quire;
-  return la::ResidualPrec::working;
 }
 
 la::IrOptions general_ir_options(const matrices::GeneratedMatrix& m,

@@ -1,13 +1,11 @@
 #include "core/solve_api.hpp"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <type_traits>
 
 #include "core/experiments.hpp"
 #include "core/report_json.hpp"
@@ -72,7 +70,7 @@ const SolverInfo& solver_info(Solver s) noexcept {
 
 const char* to_string(Solver s) noexcept { return solver_info(s).name; }
 
-bool parse_solver(const std::string& s, Solver& out) noexcept {
+bool parse_solver(std::string_view s, Solver& out) noexcept {
   for (const auto& info : solver_registry()) {
     if (s == info.name) {
       out = info.id;
@@ -156,28 +154,40 @@ std::string SolveRequest::precision_error() const {
   return {};
 }
 
+std::string SolveRequest::request_error() const {
+  const auto spec = matrices::find_spec(matrix);
+  if (!spec) return "unknown matrix '" + matrix + "'";
+  const char* name = to_string(solver);
+  if (solver_info(solver).requires_spd && !spec->spd)
+    return std::string("solver '") + name + "' requires an SPD matrix ('" +
+           matrix + "' is general; use lu_ir or gmres_ir)";
+  // The large-n tier is CSR-only (no dense image is ever materialized);
+  // every solver except CG densifies, so reject up front with a real
+  // message instead of factorizing an empty matrix.
+  if (spec->sparse_only && solver != Solver::cg)
+    return std::string("solver '") + name + "' needs a dense image, but '" +
+           matrix + "' is a sparse-only large-n matrix (use cg)";
+  if (resilience && (solver == Solver::lu_ir || solver == Solver::gmres_ir))
+    return std::string("key 'resilience' is not supported by solver '") +
+           name + "' (lu_factor has no recovery ladder)";
+  return precision_error();
+}
+
 std::string SolveRequest::experiment_name() const {
   const SolverInfo& info = solver_info(solver);
   return rescale ? info.tag_rescaled : info.tag_plain;
 }
 
 std::string SolveRequest::batch_key() const {
-  char buf[224];
-  std::snprintf(
-      buf, sizeof buf,
-      "|r%d|t%.17g|m%d|mn%d|fd%d|h%d|res%d|bt%d|k%s|b%d|pf%s|pw%s|pr%s",
-      int(rescale), tol, max_iter, max_iter_per_n, int(fused_dots),
-      int(record_history), int(resilience), budget_ticks,
-      la::kernels::to_string(backend), block, precision.factor.c_str(),
-      precision.working.c_str(), precision.residual.c_str());
-  return std::string(to_string(solver)) + "|" + matrix + buf;
+  JsonWriter w;
+  write_request_keys(*this, w.begin_object(), KeyScope::batch);
+  return w.end_object().str();
 }
 
 std::string SolveRequest::canonical_key() const {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "|s%llu",
-                static_cast<unsigned long long>(rhs_seed));
-  return batch_key() + buf;
+  JsonWriter w;
+  write_request_keys(*this, w.begin_object(), KeyScope::canonical);
+  return w.end_object().str();
 }
 
 // ---------------------------------------------------------------------------
@@ -190,133 +200,185 @@ std::string digest_hex(std::uint64_t d) {
   return buf;
 }
 
-bool parse_backend(const std::string& s, la::kernels::Backend& out) noexcept {
-  if (s == "scalar") out = la::kernels::Backend::Scalar;
-  else if (s == "batched") out = la::kernels::Backend::Batched;
-  else if (s == "simd") out = la::kernels::Backend::Simd;
-  else if (s == "auto") out = la::kernels::Backend::Auto;
-  else return false;
+// ---------------------------------------------------------------------------
+// The request-key table
+
+namespace {
+
+// The field a member-pointer path names: field<&A::b, &B::c> is &r.b.c.
+template <auto... M>
+KeyField field(SolveRequest& r) {
+  return &(r .* ... .* M);
+}
+
+// clang-format off
+// {wire, cli, alias, usage value, scope, required, field}
+constexpr RequestKey kRequestKeys[] = {
+    {"id", nullptr, nullptr, nullptr, KeyScope::wire, false, &field<&SolveRequest::id>},
+    {"solver", nullptr, nullptr, nullptr, KeyScope::batch, true, &field<&SolveRequest::solver>},
+    {"matrix", nullptr, nullptr, nullptr, KeyScope::batch, true, &field<&SolveRequest::matrix>},
+    {"rescale", "--rescale", "--higham", nullptr, KeyScope::batch, false, &field<&SolveRequest::rescale>},
+    {"tol", "--tol", nullptr, "<v>", KeyScope::batch, false, &field<&SolveRequest::tol>},
+    {"max_iter", "--max-iter", nullptr, "<n>", KeyScope::batch, false, &field<&SolveRequest::max_iter>},
+    {"max_iter_per_n", "--max-iter-per-n", nullptr, "<n>", KeyScope::batch, false, &field<&SolveRequest::max_iter_per_n>},
+    {"fused_dots", "--fused", nullptr, nullptr, KeyScope::batch, false, &field<&SolveRequest::fused_dots>},
+    {"history", "--history", nullptr, nullptr, KeyScope::batch, false, &field<&SolveRequest::record_history>},
+    {"resilience", "--resilience", nullptr, nullptr, KeyScope::batch, false, &field<&SolveRequest::resilience>},
+    {"rhs_seed", "--rhs-seed", nullptr, "<s>", KeyScope::canonical, false, &field<&SolveRequest::rhs_seed>},
+    {"budget", "--budget", nullptr, "<ticks>", KeyScope::batch, false, &field<&SolveRequest::budget_ticks>},
+    {"kernels", "--kernels", nullptr, "scalar|batched|simd|auto", KeyScope::batch, false, &field<&SolveRequest::backend>},
+    {"block", "--block", nullptr, "<w>", KeyScope::batch, false, &field<&SolveRequest::block>},
+    {"precision.factor", "--factor", nullptr, "grid|f16|bf16|p16_1|p16_2|f32|p32_2", KeyScope::batch, false, &field<&SolveRequest::precision, &PrecisionTriple::factor>},
+    {"precision.working", "--working", nullptr, "f64", KeyScope::batch, false, &field<&SolveRequest::precision, &PrecisionTriple::working>},
+    {"precision.residual", "--residual", nullptr, "auto|f64|dd|quire", KeyScope::batch, false, &field<&SolveRequest::precision, &PrecisionTriple::residual>},
+};
+// clang-format on
+
+// One validator per value kind; each reads the whole text or rejects it.
+// Integers are decimal with no sign ("010" is ten) and must fit their type;
+// a double must be finite and >= 0.
+template <class T>
+  requires std::is_arithmetic_v<T> && (!std::is_same_v<T, bool>)
+bool read_value(std::string_view t, T& out) {
+  std::conditional_t<std::is_integral_v<T>, std::uint64_t, T> v{};
+  const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+  if (ec != std::errc{} || end != t.data() + t.size() || !(v >= 0) ||
+      !(double(v) <= double(std::numeric_limits<T>::max())))
+    return false;
+  out = T(v);
   return true;
+}
+
+bool read_value(std::string_view t, bool& out) {
+  if (t != "true" && t != "false") return false;
+  out = t == "true";
+  return true;
+}
+
+bool read_value(std::string_view t, std::string& out) {
+  out = t;
+  return true;
+}
+
+bool read_value(std::string_view t, Solver& out) { return parse_solver(t, out); }
+
+bool read_value(std::string_view t, la::kernels::Backend& out) {
+  for (int b = 0; b < 4; ++b)
+    if (t == la::kernels::to_string(la::kernels::Backend(b))) {
+      out = la::kernels::Backend(b);
+      return true;
+    }
+  return false;
+}
+
+// What each value kind accepts, by KeyField alternative.
+constexpr const char* kExpects[] = {
+    "a boolean",
+    "an integer in [0, 2147483647]",
+    "a finite number >= 0",
+    "a decimal integer in [0, 18446744073709551615]",
+    "a string",
+    "a registry solver name or alias",
+    "\"scalar\", \"batched\", \"simd\" or \"auto\"",
+};
+static_assert(std::size(kExpects) == std::variant_size_v<KeyField>);
+
+// Read access through the table's mutable accessor; nothing is written.
+KeyField field_of(const RequestKey& k, const SolveRequest& r) {
+  return k.field(const_cast<SolveRequest&>(r));
+}
+
+std::size_t kind_index(const RequestKey& k) {
+  static const SolveRequest probe;
+  return field_of(k, probe).index();
+}
+
+const RequestKey* find_cli_key(std::string_view flag) {
+  for (const RequestKey& k : kRequestKeys)
+    if ((k.cli && flag == k.cli) || (k.alias && flag == k.alias)) return &k;
+  return nullptr;
+}
+
+}  // namespace
+
+KeyKind RequestKey::kind() const {
+  const std::size_t i = kind_index(*this);  // bool*; int*, double*, u64*; ...
+  return i == 0 ? KeyKind::flag : i <= 3 ? KeyKind::number : KeyKind::text;
+}
+
+const char* RequestKey::expects() const { return kExpects[kind_index(*this)]; }
+
+bool RequestKey::set(SolveRequest& r, std::string_view text) const {
+  return std::visit([text](auto* p) { return read_value(text, *p); },
+                    field(r));
+}
+
+std::span<const RequestKey> request_keys() { return kRequestKeys; }
+
+const RequestKey* find_wire_key(std::string_view name) {
+  for (const RequestKey& k : kRequestKeys)
+    if (name == k.wire) return &k;
+  return nullptr;
+}
+
+void write_request_keys(const SolveRequest& r, JsonWriter& w, KeyScope from,
+                        KeyScope to) {
+  std::string_view open;  // the nested object currently open, if any
+  for (const RequestKey& k : kRequestKeys) {
+    if (k.scope < from || k.scope > to) continue;
+    const std::string_view name = k.wire;
+    const std::size_t member = name.find('.') + 1;  // 0 when not nested
+    const std::string_view group = name.substr(0, member ? member - 1 : 0);
+    if (group != open) {
+      if (!open.empty()) w.end_object();
+      if (!group.empty()) w.key(std::string(group)).begin_object();
+      open = group;
+    }
+    w.key(std::string(name.substr(member)));
+    std::visit(
+        [&w](const auto* p) {
+          using T = std::remove_cv_t<std::remove_pointer_t<decltype(p)>>;
+          if constexpr (std::is_same_v<T, Solver> ||
+                        std::is_same_v<T, la::kernels::Backend>)
+            w.value(to_string(*p));
+          else
+            w.value(*p);
+        },
+        field_of(k, r));
+  }
+  if (!open.empty()) w.end_object();
 }
 
 // ---------------------------------------------------------------------------
 // CLI parser
-
-namespace {
-
-/// The whole of `s` as a decimal integer in [0, INT_MAX].
-bool parse_count(const char* s, int& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE || v < 0 || v > INT_MAX)
-    return false;
-  out = int(v);
-  return true;
-}
-
-/// The whole of `s` as an unsigned 64-bit integer (decimal, or 0x hex / 0
-/// octal as strtoull reads them); no sign, no trailing text.
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  errno = 0;
-  if (*s == '-' || *s == '+' || std::isspace(static_cast<unsigned char>(*s)))
-    return false;
-  const unsigned long long v = std::strtoull(s, &end, 0);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  out = v;
-  return true;
-}
-
-/// The whole of `s` as a finite non-negative number.
-bool parse_nonneg(const char* s, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || !std::isfinite(v) || v < 0) return false;
-  out = v;
-  return true;
-}
-
-}  // namespace
 
 CliParse parse_solver_cli(Solver solver, const std::string& matrix, int argc,
                           char** argv, int first) {
   CliParse p;
   p.req.solver = solver;
   p.req.matrix = matrix;
-  const auto value_missing = [&p](const char* flag) {
+  const auto fail = [&p](std::string msg) {
     p.ok = false;
-    p.error = std::string("flag '") + flag + "' requires a value";
-  };
-  const auto bad_value = [&p](const char* flag, const char* want,
-                              const char* got) {
-    p.ok = false;
-    p.error = std::string(flag) + " expects " + want + ", got '" + got + "'";
+    p.error = std::move(msg);
   };
   for (int i = first; i < argc && p.ok; ++i) {
-    const char* a = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(a, "--rescale") == 0 || std::strcmp(a, "--higham") == 0) {
-      p.req.rescale = true;
-    } else if (std::strcmp(a, "--fused") == 0) {
-      p.req.fused_dots = true;
-    } else if (std::strcmp(a, "--history") == 0) {
-      p.req.record_history = true;
-    } else if (std::strcmp(a, "--resilience") == 0) {
-      p.req.resilience = true;
-    } else if (std::strcmp(a, "--json") == 0) {
-      if (!has_value) { value_missing(a); break; }
+    const std::string a = argv[i];
+    const RequestKey* k = find_cli_key(a);
+    if (k && k->kind() == KeyKind::flag) {
+      (void)k->set(p.req, "true");
+    } else if (!k && a != "--json") {
+      fail("unknown flag '" + a + "'");
+    } else if (i + 1 >= argc) {
+      fail("flag '" + a + "' requires a value");
+    } else if (!k) {
       p.json_path = argv[++i];
-    } else if (std::strcmp(a, "--tol") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      if (!parse_nonneg(argv[++i], p.req.tol))
-        bad_value(a, "a non-negative number", argv[i]);
-    } else if (std::strcmp(a, "--max-iter") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      if (!parse_count(argv[++i], p.req.max_iter))
-        bad_value(a, "a non-negative iteration count", argv[i]);
-    } else if (std::strcmp(a, "--max-iter-per-n") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      if (!parse_count(argv[++i], p.req.max_iter_per_n))
-        bad_value(a, "a non-negative iteration count", argv[i]);
-    } else if (std::strcmp(a, "--rhs-seed") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      if (!parse_u64(argv[++i], p.req.rhs_seed))
-        bad_value(a, "a non-negative integer seed", argv[i]);
-    } else if (std::strcmp(a, "--budget") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      if (!parse_count(argv[++i], p.req.budget_ticks))
-        bad_value(a, "a non-negative tick count", argv[i]);
-    } else if (std::strcmp(a, "--kernels") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      if (!parse_backend(argv[++i], p.req.backend)) {
-        p.ok = false;
-        p.error = std::string("unknown backend '") + argv[i] + "'";
-      }
-    } else if (std::strcmp(a, "--block") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      if (!parse_count(argv[++i], p.req.block))
-        bad_value(a, "a non-negative panel width", argv[i]);
-    } else if (std::strcmp(a, "--factor") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.precision.factor = argv[++i];
-    } else if (std::strcmp(a, "--working") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.precision.working = argv[++i];
-    } else if (std::strcmp(a, "--residual") == 0) {
-      if (!has_value) { value_missing(a); break; }
-      p.req.precision.residual = argv[++i];
-    } else {
-      p.ok = false;
-      p.error = std::string("unknown flag '") + a + "'";
+    } else if (!k->set(p.req, argv[++i])) {
+      fail(a + " expects " + k->expects() + ", got '" + argv[i] + "'");
     }
   }
   if (p.ok) {
-    const std::string perr = p.req.precision_error();
-    if (!perr.empty()) {
-      p.ok = false;
-      p.error = perr;
-    }
+    p.error = p.req.request_error();
+    p.ok = p.error.empty();
   }
   // Artifacts embed telemetry counters, so recording must be on for the run.
   if (p.ok && !p.json_path.empty()) {
@@ -333,32 +395,9 @@ SolveResponse run_request(const SolveRequest& req, ArtifactCache* cache) {
   SolveResponse resp;
   resp.id = req.id;
   try {
-    const auto spec = matrices::find_spec(req.matrix);
-    if (!spec) {
-      resp.error = "unknown matrix '" + req.matrix + "'";
-      return resp;
-    }
+    resp.error = req.request_error();
+    if (!resp.error.empty()) return resp;
     const SolverInfo& info = solver_info(req.solver);
-    if (info.requires_spd && !spec->spd) {
-      resp.error = std::string("solver '") + info.name +
-                   "' requires an SPD matrix ('" + req.matrix +
-                   "' is general; use lu_ir or gmres_ir)";
-      return resp;
-    }
-    // The large-n tier is CSR-only (no dense image is ever materialized);
-    // every solver except CG densifies, so reject up front with a real
-    // message instead of factorizing an empty matrix.
-    if (spec->sparse_only && req.solver != Solver::cg) {
-      resp.error = std::string("solver '") + info.name +
-                   "' needs a dense image, but '" + req.matrix +
-                   "' is a sparse-only large-n matrix (use cg)";
-      return resp;
-    }
-    const std::string perr = req.precision_error();
-    if (!perr.empty()) {
-      resp.error = perr;
-      return resp;
-    }
     const std::string resp_key = "resp/" + req.canonical_key();
     if (cache) {
       if (auto hit = cache->get(resp_key)) {

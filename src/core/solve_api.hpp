@@ -21,7 +21,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/fnv.hpp"
@@ -72,10 +75,7 @@ struct SolverInfo {
 [[nodiscard]] const char* to_string(Solver s) noexcept;
 /// Accepts every registry name and alias ("cholesky"/"chol", "ir",
 /// "lu_ir"/"lu-ir", "gmres_ir"/"gmres-ir", ...).
-[[nodiscard]] bool parse_solver(const std::string& s, Solver& out) noexcept;
-/// Accepts "scalar", "batched", "simd", "auto".
-[[nodiscard]] bool parse_backend(const std::string& s,
-                                 la::kernels::Backend& out) noexcept;
+[[nodiscard]] bool parse_solver(std::string_view s, Solver& out) noexcept;
 
 // ---------------------------------------------------------------------------
 // PrecisionTriple — the (u_f, u, u_r) choice as first-class request state.
@@ -165,9 +165,13 @@ struct SolveRequest {
   /// default ("f64" for cg/cholesky/ir, "dd" for lu_ir/gmres_ir).
   [[nodiscard]] std::string effective_residual() const;
   /// Empty when precision is valid for this request's solver; otherwise a
-  /// human-readable error naming the offending member.  Shared by the CLI,
-  /// the serve parser and run_request.
+  /// human-readable error naming the offending member.
   [[nodiscard]] std::string precision_error() const;
+  /// Empty when this request can run; otherwise why not: an unknown
+  /// matrix, a matrix the solver cannot take, `resilience` on lu_ir/gmres_ir
+  /// (lu_factor has no recovery ladder), or precision_error().  Shared by the
+  /// CLI and run_request; the serve parser accepts any well-formed request.
+  [[nodiscard]] std::string request_error() const;
   [[nodiscard]] la::kernels::Context kernel_context() const noexcept {
     return la::kernels::Context{backend, block};
   }
@@ -178,16 +182,62 @@ struct SolveRequest {
   }
   /// "cg" / "cg_rescaled" / "cholesky" / ... — the artifact experiment tag.
   [[nodiscard]] std::string experiment_name() const;
-  /// Canonical identity of the work this request names, excluding `id` (and
-  /// `record_trace`, which never changes serialized bytes).  Equal keys mean
-  /// byte-identical result rows; the serve engine memoizes responses and
-  /// coalesces duplicate in-flight work on this string.
+  /// Canonical identity of the work this request names: the wire encoding of
+  /// the request keys without `id` (record_trace and cancel are not request
+  /// keys).  Equal keys mean byte-identical result rows; the serve engine
+  /// memoizes responses on this string.
   [[nodiscard]] std::string canonical_key() const;
-  /// canonical_key() minus the right-hand side: requests equal under this key
-  /// share matrix, scaling and factorization, so the engine batches them into
-  /// one multi-RHS job (one factorization, many triangular solves).
+  /// canonical_key() minus `rhs_seed`: requests equal under this key share
+  /// matrix, scaling and factorization, so the engine batches them into one
+  /// multi-RHS job (one factorization, many triangular solves).
   [[nodiscard]] std::string batch_key() const;
 };
+
+// ---------------------------------------------------------------------------
+// The request-key table: every SolveRequest key, declared once.
+//
+// One row per key gives its wire name (a dotted name is a member of a nested
+// wire object: "precision.factor"), its CLI flag and alias, and the field it
+// sets.  The field's type is the key's value kind, and each kind has one
+// validator that reads the value's text.  The wire parser and serializer
+// (serve/protocol.cpp), parse_solver_cli, canonical_key/batch_key and pstab's
+// usage text are all loops over this table.
+
+class JsonWriter;
+
+using KeyField = std::variant<bool*, int*, double*, std::uint64_t*,
+                              std::string*, Solver*, la::kernels::Backend*>;
+
+/// The narrowest encoding that carries a key; an encoding carries every key
+/// of its own scope and the narrower ones.
+enum class KeyScope { wire, canonical, batch };
+
+enum class KeyKind { flag, number, text };
+
+struct RequestKey {
+  const char* wire;
+  const char* cli;    // nullptr: not a flag (`id`, or positional on the CLI)
+  const char* alias;  // second CLI spelling, or nullptr
+  const char* value;  // usage placeholder for the flag's value
+  KeyScope scope;
+  bool required;      // a solve request must carry it
+  KeyField (*field)(SolveRequest&);
+
+  [[nodiscard]] KeyKind kind() const;
+  /// What a value must be ("an integer in [0, 2147483647]").
+  [[nodiscard]] const char* expects() const;
+  /// Validate `text` and store it in `r`; false (r unchanged) if rejected.
+  [[nodiscard]] bool set(SolveRequest& r, std::string_view text) const;
+};
+
+[[nodiscard]] std::span<const RequestKey> request_keys();
+/// The row with this wire name; nullptr if none.
+[[nodiscard]] const RequestKey* find_wire_key(std::string_view name);
+
+/// Write the keys whose scope lies in [from, to] as members of the object
+/// `w` has open, in table order, nesting dotted names.
+void write_request_keys(const SolveRequest& r, JsonWriter& w, KeyScope from,
+                        KeyScope to = KeyScope::batch);
 
 // ---------------------------------------------------------------------------
 // SolveResponse
@@ -242,8 +292,8 @@ using pstab::fnv1a64;
 [[nodiscard]] std::string digest_hex(std::uint64_t d);
 
 // ---------------------------------------------------------------------------
-// The unified CLI parser (satellite: every parse failure names the offending
-// token and the caller exits non-zero)
+// The CLI parser: every failure names the offending token, and the caller
+// exits non-zero.
 
 struct CliParse {
   SolveRequest req;
@@ -252,10 +302,10 @@ struct CliParse {
   std::string error;      // human-readable, contains the offending token
 };
 
-/// Parse the flags of a `pstab cg|chol|ir <matrix> [flags...]` invocation
-/// into a SolveRequest, starting at argv[first].  Shared by all three solver
-/// subcommands; serve scripts reach the same struct through
-/// serve::request_from_json instead.
+/// Parse the flags of a `pstab <solver> <matrix> [flags...]` invocation into
+/// a SolveRequest, starting at argv[first], and check it with
+/// request_error().  Serve requests reach the same struct through
+/// serve::request_from_json.
 [[nodiscard]] CliParse parse_solver_cli(Solver solver,
                                         const std::string& matrix, int argc,
                                         char** argv, int first);

@@ -89,17 +89,15 @@ void Engine::submit(const core::SolveRequest& req, DoneFn done) {
         ++rejected_;
     } else {
       ++in_flight_;
-      if (opt_.coalesce) {
-        const auto it = pending_.find(key);
-        if (it != pending_.end() && !it->second->started) {
-          it->second->items.emplace_back(req, std::move(done));
-          ++coalesced_;
-          return;  // joined a queued batch; no new pool job
-        }
+      const auto it = pending_.find(key);
+      if (it != pending_.end() && !it->second->started) {
+        it->second->items.emplace_back(req, std::move(done));
+        ++coalesced_;
+        return;  // joined a queued batch; no new pool job
       }
       batch = std::make_shared<Batch>();
       batch->items.emplace_back(req, std::move(done));
-      if (opt_.coalesce) pending_[key] = batch;
+      pending_[key] = batch;
       ++batches_;
     }
   }

@@ -48,7 +48,6 @@ namespace pstab::serve {
 struct EngineOptions {
   int threads = 0;                       // 0 = PSTAB_THREADS / hardware
   std::size_t cache_bytes = 256u << 20;  // 0 disables caching
-  bool coalesce = true;
   std::size_t max_frame = kDefaultMaxFrame;
 
   // --- Admission control (all off by default; every limit produces a
@@ -95,9 +94,9 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Queue one solve; `done` runs on a pool thread when it completes.  With
-  /// coalescing on, the request may join a queued batch sharing its
-  /// batch_key instead of becoming a new pool job.  A request denied by
+  /// Queue one solve; `done` runs on a pool thread when it completes.  The
+  /// request may join a queued batch sharing its batch_key instead of
+  /// becoming a new pool job.  A request denied by
   /// admission control (caps, bounded queue, draining) gets its `done`
   /// called synchronously on THIS thread with a structured error
   /// ("rejected: ..." / "overloaded: ..." / "draining: ...") — backpressure

@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <cctype>
-#include <climits>
 #include <cstring>
 
 #include <netinet/in.h>
@@ -285,37 +284,45 @@ bool set_tcp_nodelay(int fd) noexcept {
 
 namespace {
 
+constexpr const char* kOps[] = {"solve", "stats", "shutdown"};  // by Op
+
 bool parse_op(const std::string& s, Op& out) {
-  if (s == "solve") out = Op::solve;
-  else if (s == "stats") out = Op::stats;
-  else if (s == "shutdown") out = Op::shutdown;
-  else return false;
-  return true;
-}
-
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::solve: return "solve";
-    case Op::stats: return "stats";
-    case Op::shutdown: return "shutdown";
+  for (int i = 0; i < int(std::size(kOps)); ++i) {
+    if (s == kOps[i]) {
+      out = Op(i);
+      return true;
+    }
   }
-  return "?";
-}
-
-bool type_error(std::string& err, const std::string& key, const char* want) {
-  err = "key '" + key + "' must be " + want;
   return false;
 }
 
-/// A non-negative integer that fits the request's `int` field; anything
-/// larger is an error naming the key, never a wrapped value.
-bool int_field(const JsonValue& v, const std::string& key, int& out,
-               std::string& err) {
-  if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-  if (v.as_uint() > std::uint64_t(INT_MAX))
-    return type_error(err, key, "at most 2147483647");
-  out = int(v.as_uint());
-  return true;
+constexpr JsonValue::Kind kWireKind[] = {  // by core::KeyKind
+    JsonValue::Kind::boolean, JsonValue::Kind::number, JsonValue::Kind::string};
+
+/// Set the request key `name` from `v`, or fail naming the key and the text.
+/// A key takes one JSON kind: a flag a boolean, a number a number token, and
+/// text a string; the key's validator then reads the token or the string.
+bool set_key(const std::string& name, const JsonValue& v,
+             core::SolveRequest& r, std::string& err) {
+  const core::RequestKey* k = core::find_wire_key(name);
+  if (!k) {
+    err = "unknown key '" + name + "'";
+    return false;
+  }
+  const std::string text =
+      v.kind == JsonValue::Kind::boolean ? (v.boolean ? "true" : "false")
+                                         : v.raw;
+  if (v.kind == kWireKind[int(k->kind())] && k->set(r, text)) return true;
+  err = "key '" + name + "' must be " + k->expects() + ", got '" + text + "'";
+  return false;
+}
+
+/// A wire object whose members are dotted request keys ("precision").
+bool is_key_group(const std::string& name) {
+  const std::string prefix = name + ".";
+  for (const core::RequestKey& k : core::request_keys())
+    if (std::string_view(k.wire).starts_with(prefix)) return true;
+  return false;
 }
 
 }  // namespace
@@ -334,96 +341,31 @@ bool request_from_json(std::string_view text, Request& out, std::string& err) {
     err = std::string("schema must be \"") + kSchema + "\"";
     return false;
   }
-  bool saw_matrix = false, saw_solver = false;
   for (const auto& [key, v] : doc.members) {
     if (key == "schema") continue;
     if (key == "op") {
-      if (v.kind != JsonValue::Kind::string ||
-          !parse_op(v.raw, out.op))
-        return type_error(err, key, "\"solve\", \"stats\" or \"shutdown\"");
-    } else if (key == "id") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.id = v.as_uint();
-    } else if (key == "solver") {
-      if (v.kind != JsonValue::Kind::string ||
-          !core::parse_solver(v.raw, out.solve.solver))
-        return type_error(err, key,
-                          "a registry solver name (\"cg\", \"cholesky\", "
-                          "\"ir\", \"lu_ir\", \"gmres_ir\") or alias");
-      saw_solver = true;
-    } else if (key == "matrix") {
-      if (v.kind != JsonValue::Kind::string)
-        return type_error(err, key, "a string");
-      out.solve.matrix = v.raw;
-      saw_matrix = true;
-    } else if (key == "rescale") {
-      if (v.kind != JsonValue::Kind::boolean)
-        return type_error(err, key, "a boolean");
-      out.solve.rescale = v.boolean;
-    } else if (key == "tol") {
-      if (v.kind != JsonValue::Kind::number || v.number < 0)
-        return type_error(err, key, "a non-negative number");
-      out.solve.tol = v.number;
-    } else if (key == "max_iter") {
-      if (!int_field(v, key, out.solve.max_iter, err)) return false;
-    } else if (key == "max_iter_per_n") {
-      if (!int_field(v, key, out.solve.max_iter_per_n, err)) return false;
-    } else if (key == "fused_dots") {
-      if (v.kind != JsonValue::Kind::boolean)
-        return type_error(err, key, "a boolean");
-      out.solve.fused_dots = v.boolean;
-    } else if (key == "history") {
-      if (v.kind != JsonValue::Kind::boolean)
-        return type_error(err, key, "a boolean");
-      out.solve.record_history = v.boolean;
-    } else if (key == "resilience") {
-      if (v.kind != JsonValue::Kind::boolean)
-        return type_error(err, key, "a boolean");
-      out.solve.resilience = v.boolean;
-    } else if (key == "rhs_seed") {
-      if (!v.is_uint()) return type_error(err, key, "a non-negative integer");
-      out.solve.rhs_seed = v.as_uint();
-    } else if (key == "budget") {
-      if (!v.is_uint() || v.as_uint() > 1000000000ull)
-        return type_error(err, key, "a non-negative tick count");
-      out.solve.budget_ticks = int(v.as_uint());
-    } else if (key == "kernels") {
-      la::kernels::Backend b = la::kernels::Backend::Auto;
-      if (v.kind != JsonValue::Kind::string ||
-          !core::parse_backend(v.raw, b))
-        return type_error(err, key,
-                          "\"scalar\", \"batched\", \"simd\" or \"auto\"");
-      out.solve.backend = b;
-    } else if (key == "block") {
-      if (!int_field(v, key, out.solve.block, err)) return false;
-    } else if (key == "precision") {
-      // The (u_f, u, u_r) triple as a nested object; unknown or non-string
-      // members are rejected with the same name-the-offender strictness as
-      // top-level keys.  Value validation (known formats, solver fit) is
-      // core::SolveRequest::precision_error's job, shared with the CLI.
-      if (v.kind != JsonValue::Kind::object)
-        return type_error(err, key, "an object");
-      for (const auto& [pk, pv] : v.members) {
-        if (pv.kind != JsonValue::Kind::string)
-          return type_error(err, "precision." + pk, "a string");
-        if (pk == "factor") out.solve.precision.factor = pv.raw;
-        else if (pk == "working") out.solve.precision.working = pv.raw;
-        else if (pk == "residual") out.solve.precision.residual = pv.raw;
-        else {
-          err = "unknown key 'precision." + pk + "'";
-          return false;
-        }
+      if (v.kind != JsonValue::Kind::string || !parse_op(v.raw, out.op)) {
+        err = "key 'op' must be \"solve\", \"stats\" or \"shutdown\"";
+        return false;
       }
-    } else {
-      // The CLI's silent-typo fix, applied to the wire: an unrecognized key
-      // is an error naming the offender, never silently ignored.
-      err = "unknown key '" + key + "'";
+    } else if (!is_key_group(key)) {
+      if (!set_key(key, v, out.solve, err)) return false;
+    } else if (v.kind != JsonValue::Kind::object) {
+      err = "key '" + key + "' must be an object";
       return false;
+    } else {
+      for (const auto& [member, mv] : v.members)
+        if (!set_key(key + "." + member, mv, out.solve, err))
+          return false;
     }
   }
   if (out.op == Op::solve) {
-    if (!saw_solver) { err = "missing key 'solver'"; return false; }
-    if (!saw_matrix) { err = "missing key 'matrix'"; return false; }
+    for (const core::RequestKey& k : core::request_keys()) {
+      if (k.required && !doc.find(k.wire)) {
+        err = std::string("missing key '") + k.wire + "'";
+        return false;
+      }
+    }
   }
   return true;
 }
@@ -432,29 +374,11 @@ std::string request_to_json(const Request& req) {
   core::JsonWriter w;
   w.begin_object();
   w.key("schema").value(kSchema);
-  w.key("op").value(op_name(req.op));
-  w.key("id").value(std::uint64_t(req.solve.id));
-  if (req.op == Op::solve) {
-    const core::SolveRequest& s = req.solve;
-    w.key("solver").value(core::to_string(s.solver));
-    w.key("matrix").value(s.matrix);
-    w.key("rescale").value(s.rescale);
-    w.key("tol").value(s.tol);
-    w.key("max_iter").value(s.max_iter);
-    w.key("max_iter_per_n").value(s.max_iter_per_n);
-    w.key("fused_dots").value(s.fused_dots);
-    w.key("history").value(s.record_history);
-    w.key("resilience").value(s.resilience);
-    w.key("rhs_seed").value(std::uint64_t(s.rhs_seed));
-    w.key("budget").value(s.budget_ticks);
-    w.key("kernels").value(la::kernels::to_string(s.backend));
-    w.key("block").value(s.block);
-    w.key("precision").begin_object();
-    w.key("factor").value(s.precision.factor);
-    w.key("working").value(s.precision.working);
-    w.key("residual").value(s.precision.residual);
-    w.end_object();
-  }
+  w.key("op").value(kOps[int(req.op)]);
+  // Every op carries its id; only a solve carries the rest.
+  core::write_request_keys(req.solve, w, core::KeyScope::wire,
+                           req.op == Op::solve ? core::KeyScope::batch
+                                               : core::KeyScope::wire);
   w.end_object();
   return w.str();
 }

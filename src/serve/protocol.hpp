@@ -8,11 +8,10 @@
 // and answered with an error response.
 //
 // Requests (strict: unknown keys are rejected so typos fail loudly, the same
-// contract the CLI parser gives flags):
+// contract the CLI parser gives flags) carry "schema", "op" and the request
+// keys of core::request_keys(), e.g.
 //   {"schema":"pstab-serve-v1","op":"solve","id":1,"solver":"cg",
-//    "matrix":"bcsstk02","rescale":false,"tol":0,"max_iter":0,
-//    "max_iter_per_n":0,"fused_dots":false,"history":false,
-//    "resilience":false,"rhs_seed":0,"budget":0,"kernels":"auto"}
+//    "matrix":"bcsstk02","tol":0,"budget":0,"kernels":"auto"}
 // Everything but schema/matrix/solver is optional; "op" defaults to "solve"
 // ("stats" and "shutdown" take only schema/op/id).  "budget" is a
 // deterministic deadline in work units (core/budget.hpp); an exhausted

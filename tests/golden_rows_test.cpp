@@ -64,8 +64,6 @@ constexpr GoldenRow kGolden[] = {
 // {matrix, row kind, plain, rescaled}: "lu_ir" and "gmres_ir" rows of the
 // general suite (rescaled = two-sided equilibration), and "ir_dd" rows of
 // Table I (ir with precision.residual = "dd"; rescaled = Higham scaling).
-// run_ir_experiment does not read the residual precision yet, so the ir_dd
-// digests equal the ir columns of kGolden.
 struct GoldenRefineRow {
   const char* matrix;
   const char* kind;
@@ -90,25 +88,25 @@ constexpr GoldenRefineRow kGoldenRefine[] = {
     {"fs_183_1", "gmres_ir", 0x563d5e51f96d8796ull, 0x67f1385416d9daf2ull},
     {"pores_2", "gmres_ir", 0x3f5c8d556c4ccd41ull, 0xfc6406e881ff204full},
     {"steam1", "gmres_ir", 0x1232381337480c44ull, 0xf0d90e82009f8d8full},
-    {"plat362", "ir_dd", 0xd968917527c3f2b5ull, 0xb6ae8931cd479931ull},
-    {"mhd416b", "ir_dd", 0xdd9d9c88f7d9cb1full, 0xa3b27ce7f952f6dcull},
-    {"662_bus", "ir_dd", 0x7e32932701cc7c06ull, 0x7b428c2094ee63f5ull},
-    {"lund_b", "ir_dd", 0xf88250a88d4de264ull, 0x22b1f3a98dcba1f6ull},
-    {"bcsstk02", "ir_dd", 0x7006526dbba3bd3cull, 0x65ff7c9bff5b8329ull},
-    {"685_bus", "ir_dd", 0xc2e84ad13af35c52ull, 0x99a9d1b00bbd7e1dull},
-    {"1138_bus", "ir_dd", 0x4ee1c4865fcffec1ull, 0xec7cf1796af8303aull},
-    {"494_bus", "ir_dd", 0x990b8aa24d208a7eull, 0xc47b19098b90a3c2ull},
-    {"nos5", "ir_dd", 0x871745d335bdacabull, 0xd4d8865c681e84dfull},
-    {"bcsstk22", "ir_dd", 0x8fc830bf09cc3a84ull, 0x7b11364a52b9db95ull},
-    {"nos6", "ir_dd", 0xb177bafac4ce5ca0ull, 0xccb58e86408eba54ull},
-    {"bcsstk09", "ir_dd", 0x59e0c9d70d88eea6ull, 0x36449b269499684dull},
-    {"lund_a", "ir_dd", 0x6e8ce17eba2474dcull, 0xb903745179ee36f4ull},
-    {"nos1", "ir_dd", 0x411499de463187ffull, 0x3ee624d697ee28edull},
-    {"bcsstk01", "ir_dd", 0xa4354180fb22b3a1ull, 0xedd6bb4b638813f2ull},
-    {"bcsstk06", "ir_dd", 0x1b2f7f1b22da7832ull, 0x47fedf3d180c3a94ull},
-    {"msc00726", "ir_dd", 0xc7aa77ca5d3e7dd3ull, 0x54fa4a8af600317full},
-    {"bcsstk08", "ir_dd", 0x65b69614ef1542f5ull, 0x02a1ff9da9cddcf1ull},
-    {"nos2", "ir_dd", 0x94749441ef4d8fdcull, 0xe00fe37849dff7c0ull},
+    {"plat362", "ir_dd", 0xae6a29880a75e187ull, 0x0e8d230ec389982bull},
+    {"mhd416b", "ir_dd", 0xdd9d9c88f7d9cb1full, 0x56ff9571e7253c7full},
+    {"662_bus", "ir_dd", 0x10f1bf6e8245a201ull, 0x179981fd84e6fa7cull},
+    {"lund_b", "ir_dd", 0x52b699d0ee62bc74ull, 0x27651fd46bc588d8ull},
+    {"bcsstk02", "ir_dd", 0xcac1587b31515d2bull, 0xa8bb9091d2e6c54full},
+    {"685_bus", "ir_dd", 0x5aaad16f0a304a32ull, 0x391a2510fed3f0e7ull},
+    {"1138_bus", "ir_dd", 0x4ee1c4865fcffec1ull, 0xb48c68aa831104aeull},
+    {"494_bus", "ir_dd", 0xa484ea68914004baull, 0xc8925d6acf663cf8ull},
+    {"nos5", "ir_dd", 0x68fa0120d11b110dull, 0xb6a0a09acb988e22ull},
+    {"bcsstk22", "ir_dd", 0x24da47fca922c74dull, 0xed211efbdcb2ce2full},
+    {"nos6", "ir_dd", 0xb177bafac4ce5ca0ull, 0xcfe1bcbbec1043b1ull},
+    {"bcsstk09", "ir_dd", 0x0bda366fa494a92aull, 0x4324f5fc83e8a534ull},
+    {"lund_a", "ir_dd", 0xd40625c0d7ff39d1ull, 0x1247f193e454e377ull},
+    {"nos1", "ir_dd", 0x411499de463187ffull, 0x5e76e4c6533e2f4bull},
+    {"bcsstk01", "ir_dd", 0x608f4d0a6355d5f0ull, 0x403b8a50cd50fa24ull},
+    {"bcsstk06", "ir_dd", 0x3ebbdb8e43e65d4full, 0x471ef2f3a2786366ull},
+    {"msc00726", "ir_dd", 0xad7915904f420f9aull, 0x1fecb7588eb375c8ull},
+    {"bcsstk08", "ir_dd", 0x1d801f45c8e04b60ull, 0x2438700e23fc245aull},
+    {"nos2", "ir_dd", 0xd00503a65a070918ull, 0xfbbff9bbd500475dull},
 };
 // clang-format on
 

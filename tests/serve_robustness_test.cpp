@@ -165,7 +165,6 @@ TEST(Admission, BoundedQueueShedsLoadWithoutLosingTheAdmitted) {
   serve::EngineOptions opt;
   opt.threads = 1;
   opt.max_queue = 1;
-  opt.coalesce = false;
   serve::Engine eng(opt);
   core::SolveRequest slow;
   slow.matrix = "bcsstk22";  // big enough that it cannot finish between the

@@ -54,12 +54,11 @@ using namespace pstab;
 int usage() {
   std::fprintf(stderr,
                "usage: pstab <command> [args]\n"
-               "  list | gen-mtx <dir> | cg <matrix> [--rescale] |\n"
-               "  chol <matrix> [--rescale] | ir <matrix> [--higham] |\n"
-               "  lu-ir <matrix> [--rescale] | gmres-ir <matrix> [--rescale] |\n"
+               "  list | gen-mtx <dir> |\n"
+               "  cg|chol|ir|lu-ir|gmres-ir <matrix> [--json <path>] [flags] |\n"
                "  serve --script FILE [--out FILE] | --stdio |\n"
                "        --port N [--once]   with [--threads N] [--cache-mb M]\n"
-               "        [--max-frame-kb K] [--no-coalesce] [--max-queue N]\n"
+               "        [--max-frame-kb K] [--max-queue N]\n"
                "        [--max-n N] [--max-matrix-mb M] [--max-budget T]\n"
                "        [--watchdog-ms MS]\n"
                "  serve-client --port N --script FILE [--out FILE]\n"
@@ -72,13 +71,14 @@ int usage() {
                "  inject [--solver cg|cholesky|ir] [--seed S] [--trials N]\n"
                "         [--formats LIST] [--n SIZE] [--cond K] [--recovery]\n"
                "         [--json PATH]\n"
-               "  cg|chol|ir|lu-ir|gmres-ir also accept: --json <path>\n"
-               "    --tol <v> --max-iter <n> --max-iter-per-n <n> --fused\n"
-               "    --history --resilience --rhs-seed <s>\n"
-               "    --kernels scalar|batched|simd|auto --block <w>\n"
-               "    --factor grid|f16|bf16|p16_1|p16_2|f32|p32_2\n"
-               "    --working f64 --residual auto|f64|dd|quire\n"
-               "  PSTAB_SIMD=avx2|avx512|neon|scalar pins the simd ISA\n");
+               "  solver flags:\n");
+  // The solver flags, from the request-key table.
+  for (const core::RequestKey& k : core::request_keys())
+    if (k.cli)
+      std::fprintf(stderr, "    %s%s%s%s%s\n", k.cli, k.alias ? "|" : "",
+                   k.alias ? k.alias : "", k.value ? " " : "",
+                   k.value ? k.value : "");
+  std::fprintf(stderr, "  PSTAB_SIMD=avx2|avx512|neon|scalar pins the simd ISA\n");
   return 1;
 }
 
@@ -131,28 +131,16 @@ int cmd_gen_mtx(int argc, char** argv) {
   return 0;
 }
 
-// Shared front half of cg/chol/ir: matrix arg, unified flag parse, matrix
-// lookup.  Returns nonzero (the exit code) on failure.
+// Shared front half of the solver subcommands: matrix arg and the unified
+// flag parse, which also checks the request against its matrix.  Returns
+// nonzero (the exit code) on failure.
 int solver_prologue(core::Solver solver, int argc, char** argv,
                     core::CliParse& p) {
   if (argc < 3)
     return bad_usage(std::string("command '") + argv[1] +
                      "' requires a matrix name");
   p = core::parse_solver_cli(solver, argv[2], argc, argv, 3);
-  if (!p.ok) return bad_usage(p.error);
-  const auto spec = matrices::find_spec(p.req.matrix);
-  if (!spec)
-    return bad_usage("unknown matrix '" + p.req.matrix +
-                     "' (try 'pstab list')");
-  if (core::solver_info(solver).requires_spd && !spec->spd)
-    return bad_usage(std::string("solver '") + core::to_string(solver) +
-                     "' requires an SPD matrix ('" + p.req.matrix +
-                     "' is general; use lu-ir or gmres-ir)");
-  if (spec->sparse_only && solver != core::Solver::cg)
-    return bad_usage(std::string("solver '") + core::to_string(solver) +
-                     "' needs a dense image, but '" + p.req.matrix +
-                     "' is a sparse-only large-n matrix (use cg)");
-  return 0;
+  return p.ok ? 0 : bad_usage(p.error);
 }
 
 /// "k iters" / "1000+" / "-" formatting for a general-refinement cell.
@@ -287,7 +275,6 @@ int cmd_serve(int argc, char** argv) {
     const bool has_value = i + 1 < argc;
     if (a == "--stdio") stdio = true;
     else if (a == "--once") once = true;
-    else if (a == "--no-coalesce") opt.coalesce = false;
     else if (a == "--script" && has_value) script_path = argv[++i];
     else if (a == "--out" && has_value) out_path = argv[++i];
     else if (a == "--port" && has_value)
