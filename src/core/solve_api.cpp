@@ -315,6 +315,15 @@ bool RequestKey::set(SolveRequest& r, std::string_view text) const {
 
 std::span<const RequestKey> request_keys() { return kRequestKeys; }
 
+bool read_flag_value(std::string_view flag, std::string_view text,
+                     KeyField out, std::string& error) {
+  if (std::visit([text](auto* p) { return read_value(text, *p); }, out))
+    return true;
+  error = std::string(flag) + " expects " + kExpects[out.index()] +
+          ", got '" + std::string(text) + "'";
+  return false;
+}
+
 const RequestKey* find_wire_key(std::string_view name) {
   for (const RequestKey& k : kRequestKeys)
     if (name == k.wire) return &k;
@@ -372,8 +381,9 @@ CliParse parse_solver_cli(Solver solver, const std::string& matrix, int argc,
       fail("flag '" + a + "' requires a value");
     } else if (!k) {
       p.json_path = argv[++i];
-    } else if (!k->set(p.req, argv[++i])) {
-      fail(a + " expects " + k->expects() + ", got '" + argv[i] + "'");
+    } else if (std::string err;
+               !read_flag_value(a, argv[++i], k->field(p.req), err)) {
+      fail(std::move(err));
     }
   }
   if (p.ok) {

@@ -234,6 +234,14 @@ struct RequestKey {
 /// The row with this wire name; nullptr if none.
 [[nodiscard]] const RequestKey* find_wire_key(std::string_view name);
 
+/// Read a CLI flag's value with the validator of the value kind `out`
+/// points at — for request keys and for the numeric flags outside the
+/// table (pstab serve, fuzz, inject, ...) alike.  On rejection `out` is
+/// unchanged and `error` reads "<flag> expects <kind>, got '<text>'".
+[[nodiscard]] bool read_flag_value(std::string_view flag,
+                                   std::string_view text, KeyField out,
+                                   std::string& error);
+
 /// Write the keys whose scope lies in [from, to] as members of the object
 /// `w` has open, in table order, nesting dotted names.
 void write_request_keys(const SolveRequest& r, JsonWriter& w, KeyScope from,

@@ -15,9 +15,11 @@
 //     switch follows the PSTAB_LUT pattern: `enable_defaults()` turns
 //     telemetry on unless the environment says PSTAB_TELEMETRY=0.
 //   * Counters live in per-thread blocks (registered on first use, merged
-//     into a retired accumulator when the thread exits), so `parallel_for`
+//     into a retired accumulator when a thread exits), so `parallel_for`
 //     workers never contend and totals are exact: the same work yields the
-//     same counts whatever PSTAB_THREADS is.
+//     same counts whatever PSTAB_THREADS is.  The persistent `parallel_for`
+//     workers never exit; their blocks stay live, summed by `snapshot()`
+//     and zeroed by `reset()` like any other.
 //   * `snapshot()` aggregates retired + live blocks and returns per-format
 //     counters sorted by format name, so emitted artifacts are deterministic
 //     even though slot registration order depends on thread interleaving.

@@ -87,11 +87,7 @@ class Csr {
         y[i] = s;
       }
     };
-    if (rows_ >= kernels::kParMinSparseRows)
-      pstab::parallel_tiles(std::size_t(rows_),
-                            std::size_t(kernels::kSparseRowTile), run);
-    else
-      run(0, std::size_t(rows_));
+    kernels::sparse_row_tiles(std::size_t(rows_), run);
   }
 
   [[nodiscard]] Vec<T> operator*(const Vec<T>& x) const {

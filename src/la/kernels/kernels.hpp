@@ -111,16 +111,30 @@ struct Context {
 /// Below this length Auto stays scalar: plane setup isn't worth it.
 inline constexpr std::size_t kAutoMinN = 8;
 
-/// Row-partition thresholds for the parallel BLAS-2 drivers below.  Under
+/// Row-partition thresholds for the parallel BLAS-1/2 drivers below.  Under
 /// the threshold the row loop runs inline (fork-join overhead dominates);
 /// over it, rows are fanned out in fixed index-owned tiles through
 /// pstab::parallel_tiles.  Every row's chain is self-contained, so the
 /// parallel and serial paths — and any PSTAB_THREADS count — produce
-/// byte-identical vectors.
+/// byte-identical vectors.  The sparse threshold and tile also cut the
+/// elementwise BLAS-1 (axpy, xpby, scal) on the vector and decoded-plane
+/// legs; 512-row tiles give an n = 10^4 solve 20 tiles, so a few workers
+/// finish within one tile of each other.
 inline constexpr int kParMinSparseRows = 8192;
-inline constexpr int kSparseRowTile = 2048;
+inline constexpr int kSparseRowTile = 512;
 inline constexpr std::size_t kParMinDenseWork = std::size_t(1) << 20;
 inline constexpr int kDenseRowTile = 256;
+
+/// run(lo, hi) over [0, n) with the sparse threshold and tile: the spmv
+/// rows and the elementwise BLAS-1 legs (every element rounded alone, each
+/// leg bit-identical to the scalar loop at any length) all cut here.
+template <class Run>
+void sparse_row_tiles(std::size_t n, Run&& run) {
+  if (n >= static_cast<std::size_t>(kParMinSparseRows))
+    pstab::parallel_tiles(n, static_cast<std::size_t>(kSparseRowTile), run);
+  else
+    run(std::size_t(0), n);
+}
 
 /// The vector-backend dispatch predicate (exposed so tests can pin the
 /// routing itself).  True only when a vector ISA is actually active: an
@@ -210,14 +224,18 @@ template <class T>
 void axpy(const Context& c, T alpha, const Vec<T>& x, Vec<T>& y) {
   if constexpr (simd::ops<T>::supported) {
     if (use_simd<T>(c, x.size())) {
-      simd::ops<T>::table(*simd::active_tables())
-          .axpy(alpha, x.data(), y.data(), x.size());
+      const auto& tbl = simd::ops<T>::table(*simd::active_tables());
+      sparse_row_tiles(x.size(), [&](std::size_t lo, std::size_t hi) {
+        tbl.axpy(alpha, x.data() + lo, y.data() + lo, hi - lo);
+      });
       return;
     }
   }
   if constexpr (batched::ops<T>::supported) {
     if (use_batched<T>(c, x.size())) {
-      batched::ops<T>::axpy(alpha, x.data(), y.data(), x.size());
+      sparse_row_tiles(x.size(), [&](std::size_t lo, std::size_t hi) {
+        batched::ops<T>::axpy(alpha, x.data() + lo, y.data() + lo, hi - lo);
+      });
       return;
     }
   }
@@ -229,14 +247,18 @@ template <class T>
 void scal(const Context& c, T alpha, Vec<T>& x) {
   if constexpr (simd::ops<T>::supported) {
     if (use_simd<T>(c, x.size())) {
-      simd::ops<T>::table(*simd::active_tables())
-          .scal(alpha, x.data(), x.size());
+      const auto& tbl = simd::ops<T>::table(*simd::active_tables());
+      sparse_row_tiles(x.size(), [&](std::size_t lo, std::size_t hi) {
+        tbl.scal(alpha, x.data() + lo, hi - lo);
+      });
       return;
     }
   }
   if constexpr (batched::ops<T>::supported) {
     if (use_batched<T>(c, x.size())) {
-      batched::ops<T>::scal(alpha, x.data(), x.size());
+      sparse_row_tiles(x.size(), [&](std::size_t lo, std::size_t hi) {
+        batched::ops<T>::scal(alpha, x.data() + lo, hi - lo);
+      });
       return;
     }
   }
@@ -249,14 +271,19 @@ void xpby(const Context& c, const Vec<T>& x, T beta, const Vec<T>& y,
           Vec<T>& z) {
   if constexpr (simd::ops<T>::supported) {
     if (use_simd<T>(c, x.size())) {
-      simd::ops<T>::table(*simd::active_tables())
-          .xpby(x.data(), beta, y.data(), z.data(), x.size());
+      const auto& tbl = simd::ops<T>::table(*simd::active_tables());
+      sparse_row_tiles(x.size(), [&](std::size_t lo, std::size_t hi) {
+        tbl.xpby(x.data() + lo, beta, y.data() + lo, z.data() + lo, hi - lo);
+      });
       return;
     }
   }
   if constexpr (batched::ops<T>::supported) {
     if (use_batched<T>(c, x.size())) {
-      batched::ops<T>::xpby(x.data(), beta, y.data(), z.data(), x.size());
+      sparse_row_tiles(x.size(), [&](std::size_t lo, std::size_t hi) {
+        batched::ops<T>::xpby(x.data() + lo, beta, y.data() + lo,
+                              z.data() + lo, hi - lo);
+      });
       return;
     }
   }
@@ -495,11 +522,7 @@ void spmv(const Context& c, const Csr<T>& A, const Vec<T>& x, Vec<T>& y) {
         tbl.spmv(A.sell(), xd.data(), y.data(), static_cast<int>(lo),
                  static_cast<int>(hi));
       };
-      if (rows >= kParMinSparseRows)
-        pstab::parallel_tiles(static_cast<std::size_t>(rows),
-                              static_cast<std::size_t>(kSparseRowTile), run);
-      else
-        run(0, static_cast<std::size_t>(rows));
+      sparse_row_tiles(static_cast<std::size_t>(rows), run);
       return;
     }
   }
@@ -515,11 +538,7 @@ void spmv(const Context& c, const Csr<T>& A, const Vec<T>& x, Vec<T>& y) {
                                     static_cast<int>(lo),
                                     static_cast<int>(hi));
       };
-      if (rows >= kParMinSparseRows)
-        pstab::parallel_tiles(static_cast<std::size_t>(rows),
-                              static_cast<std::size_t>(kSparseRowTile), run);
-      else
-        run(0, static_cast<std::size_t>(rows));
+      sparse_row_tiles(static_cast<std::size_t>(rows), run);
       return;
     }
   }

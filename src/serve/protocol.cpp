@@ -136,23 +136,31 @@ class Parser {
     return fail("unterminated string");
   }
 
+  // Consume a run of digits; the count consumed.
+  std::size_t digits() {
+    const std::size_t start = pos_;
+    while (!eof() && std::isdigit(static_cast<unsigned char>(t_[pos_]))) ++pos_;
+    return pos_ - start;
+  }
+
+  // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   bool number_body(JsonValue& out) {
     const std::size_t start = pos_;
     if (!eof() && t_[pos_] == '-') ++pos_;
-    while (!eof() && std::isdigit(static_cast<unsigned char>(t_[pos_]))) ++pos_;
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = digits();
+    if (int_digits == 0 || (int_digits > 1 && t_[int_start] == '0'))
+      return fail("invalid number");
     if (!eof() && t_[pos_] == '.') {
       ++pos_;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(t_[pos_])))
-        ++pos_;
+      if (digits() == 0) return fail("invalid number");
     }
     if (!eof() && (t_[pos_] == 'e' || t_[pos_] == 'E')) {
       ++pos_;
       if (!eof() && (t_[pos_] == '+' || t_[pos_] == '-')) ++pos_;
-      while (!eof() && std::isdigit(static_cast<unsigned char>(t_[pos_])))
-        ++pos_;
+      if (digits() == 0) return fail("invalid number");
     }
     out.raw = std::string(t_.substr(start, pos_ - start));
-    if (out.raw.empty() || out.raw == "-") return fail("invalid number");
     out.kind = JsonValue::Kind::number;
     out.number = std::strtod(out.raw.c_str(), nullptr);
     return true;

@@ -299,6 +299,7 @@ TEST(ThreadDeterminism, SpmvBytesIdenticalAcrossThreadCounts) {
   const auto& g = spmv_det_matrix();
   ASSERT_EQ(g.n, 9000);
   ASSERT_EQ(g.dense.rows(), 0);  // sparse-only: never densified
+  ASSERT_GE(g.n / ker::kSparseRowTile, 8);  // more tiles than 8 workers
   Vec<double> x(g.n);
   std::mt19937_64 rng(33);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
@@ -330,7 +331,7 @@ void check_spmv_kernel_threads() {
   for (auto& v : x) v = P(dist(rng));
   Vec<P> ref;
   ker::spmv(ker::Context{ker::Backend::Scalar}, A, x, ref);
-  for (const char* threads : {"1", "8", "32"}) {
+  for (const char* threads : {"1", "3", "8", "32"}) {
     SCOPED_TRACE(std::string("PSTAB_THREADS=") + threads);
     ThreadsGuard t(threads);
     Vec<P> y;

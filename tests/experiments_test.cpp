@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel_for.hpp"
@@ -215,6 +216,85 @@ TEST(ParallelFor, PropagatesExceptions) {
                      if (i == 13) throw std::runtime_error("boom");
                    }),
       std::runtime_error);
+}
+
+// Every index of [0, n) hit exactly once by one parallel_for.
+void expect_each_index_once(std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ParallelFor, NestedCallInsideFnCoversEveryIndex) {
+  ThreadsEnv env("4");
+  constexpr std::size_t kOuter = 12, kInner = 40;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  parallel_for(kOuter, [&](std::size_t i) {
+    parallel_for(kInner,
+                 [&](std::size_t j) { hits[i * kInner + j].fetch_add(1); });
+  });
+  for (std::size_t k = 0; k < hits.size(); ++k)
+    EXPECT_EQ(hits[k].load(), 1) << k;
+}
+
+TEST(ParallelFor, ConcurrentCallersEachSeeEveryIndexOnce) {
+  // One caller holds the pool; the others find it busy and run inline.
+  ThreadsEnv env("4");
+  std::vector<std::thread> callers;
+  std::atomic<int> bad{0};
+  for (int t = 0; t < 4; ++t)
+    callers.emplace_back([&bad] {
+      for (int round = 0; round < 50; ++round) {
+        std::vector<std::atomic<int>> hits(97);
+        parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (auto& h : hits)
+          if (h.load() != 1) bad.fetch_add(1);
+      }
+    });
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(ParallelFor, ThreadCountFlipsBetweenCallsInOneProcess) {
+  for (const char* threads : {"1", "8", "3", "32", "2"}) {
+    SCOPED_TRACE(std::string("PSTAB_THREADS=") + threads);
+    ThreadsEnv env(threads);
+    expect_each_index_once(1000);
+  }
+}
+
+TEST(ParallelFor, BackToBackRegionsStayExact) {
+  // Short regions one after another: a worker that is late for one region
+  // must not run, or count itself into, the next.
+  ThreadsEnv env("4");
+  std::vector<int> sums(2000);
+  for (std::size_t r = 0; r < sums.size(); ++r) {
+    std::atomic<int> sum{0};
+    parallel_for(4, [&](std::size_t i) { sum.fetch_add(int(i) + 1); });
+    sums[r] = sum.load();
+  }
+  for (std::size_t r = 0; r < sums.size(); ++r) ASSERT_EQ(sums[r], 10) << r;
+}
+
+TEST(ParallelFor, CallAfterAThrownExceptionStillWorks) {
+  ThreadsEnv env("4");
+  EXPECT_THROW(parallel_for(64,
+                            [](std::size_t i) {
+                              if (i % 5 == 3) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
+  expect_each_index_once(300);
+}
+
+TEST(ParallelFor, FewerIndicesThanThreads) {
+  ThreadsEnv env("8");
+  for (const std::size_t n : {0, 1, 2, 3, 7}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_each_index_once(n);
+  }
+  std::vector<std::string> out = parallel_map<std::string>(
+      3, [](std::size_t i) { return std::to_string(i); });
+  EXPECT_EQ(out, (std::vector<std::string>{"0", "1", "2"}));
 }
 
 TEST(ExperimentGrid, CgSuiteDeterministicAcrossThreadCounts) {

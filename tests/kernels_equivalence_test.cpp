@@ -598,9 +598,10 @@ TEST(SimdEquivalence, SpmvPerIsa) {
 
 // ---------------------------------------------------------------------------
 // dot / axpy / gemv over posit16_1, posit32_2 and half at 128 and at 4096
-// elements (gemv 256 x 4096 reaches the row-tile threshold): every backend
-// must match the scalar loops bit for bit at 1 and 8 workers and with the
-// vector legs routed through the scalar ISA.
+// elements (gemv 256 x 4096 reaches the row-tile threshold), and the tiled
+// BLAS-1 at 9000 (check_blas1_tiles): every backend must match the scalar
+// loops bit for bit at 1 and 8 workers and with the vector legs routed
+// through the scalar ISA.
 
 template <class T>
 void check_backend_grid() {
@@ -639,12 +640,53 @@ void check_backend_grid() {
   }
 }
 
+// axpy / xpby / scal at n = 9000: above kParMinSparseRows, so the vector and
+// decoded-plane legs run over the row tiles, with a ragged last tile (9000
+// is not a multiple of kSparseRowTile).  xpby also runs in place (z = x).
+template <class T>
+void check_blas1_tiles() {
+  constexpr int n = 9000;
+  static_assert(n >= ker::kParMinSparseRows && n % ker::kSparseRowTile != 0);
+  const ker::Context kAuto{ker::Backend::Auto};
+  for (const bool specials : {false, true}) {
+    SCOPED_TRACE(std::string("n=9000") + (specials ? " specials" : " random"));
+    const auto x = rand_vec<T>(n, specials ? 9101 : 9100, specials);
+    const auto y = rand_vec<T>(n, specials ? 9201 : 9200, specials);
+    const T alpha = scalar_traits<T>::from_double(-0.625);
+    const T beta = scalar_traits<T>::from_double(1.375);
+    auto axpy_ref = y;
+    ker::axpy(kScalar, alpha, x, axpy_ref);
+    la::Vec<T> xpby_ref(x.size());
+    ker::xpby(kScalar, x, beta, y, xpby_ref);
+    auto scal_ref = x;
+    ker::scal(kScalar, alpha, scal_ref);
+    for (const ker::Context& kc : {kBatched, kSimd, kAuto}) {
+      SCOPED_TRACE(ker::to_string(kc.backend));
+      auto ya = y;
+      ker::axpy(kc, alpha, x, ya);
+      EXPECT_TRUE(bits_equal(ya, axpy_ref));
+      la::Vec<T> z(x.size());
+      ker::xpby(kc, x, beta, y, z);
+      EXPECT_TRUE(bits_equal(z, xpby_ref));
+      auto zx = x;
+      ker::xpby(kc, zx, beta, y, zx);
+      EXPECT_TRUE(bits_equal(zx, xpby_ref));
+      auto xs = x;
+      ker::scal(kc, alpha, xs);
+      EXPECT_TRUE(bits_equal(xs, scal_ref));
+    }
+  }
+}
+
 TEST(KernelsEquivalence, BackendGridAcrossThreadsAndIsa) {
   const auto grid = [] {
     check_backend_grid<Posit16_1>();
     check_backend_grid<Posit32_2>();
     check_backend_grid<Posit32_3>();
     check_backend_grid<Half>();
+    check_blas1_tiles<Posit16_1>();
+    check_blas1_tiles<Posit32_2>();
+    check_blas1_tiles<Posit32_3>();
   };
   for (const char* threads : {"1", "8"}) {
     SCOPED_TRACE(std::string("PSTAB_THREADS=") + threads);

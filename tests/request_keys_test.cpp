@@ -52,11 +52,11 @@ std::vector<std::string> accepted_texts(const core::RequestKey& k) {
     using T = std::remove_pointer_t<decltype(p)>;
     if constexpr (std::is_same_v<T, bool>) return {"true", "false"};
     if constexpr (std::is_same_v<T, int>)
-      return {"0", "7", "010", "2147483647"};
+      return {"0", "7", "10", "2147483647"};
     if constexpr (std::is_same_v<T, double>)
       return {"0", "1e-6", "0.25", "3", "1e-300"};
     if constexpr (std::is_same_v<T, std::uint64_t>)
-      return {"0", "010", "42", "18446744073709551615"};
+      return {"0", "10", "42", "18446744073709551615"};
     if constexpr (std::is_same_v<T, core::Solver>) {
       std::vector<std::string> v;
       for (const auto& info : core::solver_registry()) {
@@ -159,10 +159,12 @@ TEST(RequestKeys, DriftsResolveToOneRule) {
   EXPECT_NE(err.find("'tol'"), std::string::npos) << err;
   EXPECT_NE(err.find("1e999"), std::string::npos) << err;
 
-  // rhs_seed is decimal on both sides: 010 is ten, 0x10 is rejected.
+  // rhs_seed is decimal on both sides: the CLI reads 010 as ten, the wire
+  // rejects the token 010 (JSON has no leading zeros), 0x10 is rejected.
   const core::CliParse seed = cli(core::Solver::cg, {"--rhs-seed", "010"});
   ASSERT_TRUE(seed.ok) << seed.error;
-  ASSERT_TRUE(serve::request_from_json(head + R"("rhs_seed":010})", req, err))
+  EXPECT_FALSE(serve::request_from_json(head + R"("rhs_seed":010})", req, err));
+  ASSERT_TRUE(serve::request_from_json(head + R"("rhs_seed":10})", req, err))
       << err;
   EXPECT_EQ(seed.req.rhs_seed, 10u);
   EXPECT_EQ(seed.req.canonical_key(), req.solve.canonical_key());

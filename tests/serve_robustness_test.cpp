@@ -284,6 +284,28 @@ TEST(Stream, StatsOpReportsTheRobustnessCounters) {
   EXPECT_NE(stats.find("\"queue_depth\":0"), std::string::npos) << stats;
 }
 
+TEST(Stream, NumbersJsonForbidsAreErrorsNotSolves) {
+  // RFC 8259 numbers only: a leading zero, a bare '.', or an empty fraction
+  // or exponent makes the line malformed; the stream goes on.
+  serve::Engine eng;
+  const std::string head =
+      R"({"schema":"pstab-serve-v1","op":"solve","id":1,"solver":"cg",)"
+      R"("matrix":"bcsstk01",)";
+  std::string script;
+  for (const char* tail : {R"("tol":.5,"max_iter":007})", R"("max_iter":00})",
+                           R"("tol":1.})", R"("tol":-.5})", R"("tol":1e})",
+                           R"("tol":2E+})"})
+    script += head + tail + "\n";
+  script += head + R"("tol":0.5,"max_iter":7})" + "\n";
+  const auto out = eng.run_script(script);
+  ASSERT_EQ(out.size(), 7u);
+  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
+    EXPECT_NE(out[i].find("\"ok\":false"), std::string::npos) << out[i];
+    EXPECT_NE(out[i].find("invalid number"), std::string::npos) << out[i];
+  }
+  EXPECT_NE(out.back().find("\"ok\":true"), std::string::npos) << out.back();
+}
+
 // ---------------------------------------------------------------------------
 // TCP: one client dying mid-conversation must not poison the next client.
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include <arpa/inet.h>
+#include <sys/wait.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -72,6 +73,37 @@ TEST(ServeJson, RejectsMalformedDocuments) {
   EXPECT_FALSE(serve::json_parse("\"unterminated", v, err));
   EXPECT_FALSE(serve::json_parse("{\"a\":\"\x01\"}", v, err));  // raw control
   EXPECT_FALSE(serve::json_parse("", v, err));
+}
+
+TEST(ServeJson, NumbersFollowTheJsonGrammar) {
+  serve::JsonValue v;
+  std::string err;
+  for (const char* bad : {"007", "-01", "00", ".5", "-.5", "1.", "1.e3", "1e",
+                          "1e+", "-", "+1", "1E-"}) {
+    EXPECT_FALSE(serve::json_parse(bad, v, err)) << bad;
+    EXPECT_FALSE(serve::json_parse(std::string("[") + bad + "]", v, err))
+        << bad;
+  }
+  for (const char* good : {"0", "-0", "7", "10", "0.5", "-0.5", "1e3",
+                           "1E+3", "2.5e-7", "0e0"}) {
+    EXPECT_TRUE(serve::json_parse(good, v, err)) << good << ": " << err;
+    EXPECT_EQ(v.kind, serve::JsonValue::Kind::number) << good;
+  }
+  // A request that only a non-JSON encoder could write is not a request.
+  serve::Request req;
+  EXPECT_FALSE(serve::request_from_json(
+      R"({"schema":"pstab-serve-v1","id":1,"solver":"cg",)"
+      R"("matrix":"bcsstk01","tol":.5,"max_iter":007})",
+      req, err));
+  EXPECT_FALSE(serve::request_from_json(
+      R"({"schema":"pstab-serve-v1","id":1,"solver":"cg",)"
+      R"("matrix":"bcsstk01","max_iter":007})",
+      req, err));
+  EXPECT_TRUE(serve::request_from_json(
+      R"({"schema":"pstab-serve-v1","id":1,"solver":"cg",)"
+      R"("matrix":"bcsstk01","tol":0.5,"max_iter":7})",
+      req, err))
+      << err;
 }
 
 TEST(ServeJson, RejectsExcessiveNesting) {
@@ -770,6 +802,65 @@ TEST(ServeCli, NumericFlagsRejectBadOrOutOfRangeText) {
   EXPECT_EQ(p.req.max_iter_per_n, 20);
   EXPECT_EQ(p.req.max_iter, INT_MAX);
   EXPECT_EQ(p.req.rhs_seed, UINT64_MAX);
+}
+
+// The numeric flags of serve, serve-client, chaos, fuzz and inject go
+// through the request keys' validators: run the pstab binary and expect a
+// usage error naming the flag and its text.
+struct CliRun {
+  int status = -1;
+  std::string err;
+};
+
+CliRun run_pstab(const std::string& args) {
+  CliRun r;
+  const std::string cmd =
+      std::string(PSTAB_CLI) + " " + args + " 2>&1 >/dev/null";
+  FILE* f = popen(cmd.c_str(), "r");
+  if (!f) return r;
+  char buf[256];
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, f)) > 0;)
+    r.err.append(buf, got);
+  const int st = pclose(f);
+  r.status = WIFEXITED(st) ? WEXITSTATUS(st) : -1;
+  return r;
+}
+
+TEST(ServeCli, SubcommandNumericFlagsRejectBadOrOutOfRangeText) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"fuzz --cases", "12x"},
+      {"fuzz --cases", "-5"},
+      {"fuzz --seed", "0x10"},
+      {"fuzz --seed", "18446744073709551616"},
+      {"inject --n", "12abc"},
+      {"inject --trials", "3000000000"},
+      {"inject --cond", "1e999"},
+      {"inject --seed", "-1"},
+      {"serve --threads", "4x"},
+      {"serve --port", "7x"},
+      {"serve --cache-mb", "1e3"},
+      {"serve --max-frame-kb", "2147483648"},
+      {"serve --max-queue", "-1"},
+      {"serve --max-n", " 9"},
+      {"serve --max-matrix-mb", "lots"},
+      {"serve --max-budget", "1.5"},
+      {"serve --watchdog-ms", "5ms"},
+      {"serve-client --port", "99999999999"},
+      {"chaos --sessions", "5x"},
+      {"chaos --seed", "1e3"},
+      {"chaos --threads", "+2"},
+      {"chaos --timeout-ms", ""},
+  };
+  for (const auto& [cmd_flag, text] : bad) {
+    const CliRun r = run_pstab(cmd_flag + " '" + text + "'");
+    const std::string flag = cmd_flag.substr(cmd_flag.find(' ') + 1);
+    EXPECT_EQ(r.status, 1) << cmd_flag << " " << text << ": " << r.err;
+    EXPECT_NE(r.err.find(flag + " expects"), std::string::npos)
+        << cmd_flag << " " << text << ": " << r.err;
+    EXPECT_NE(r.err.find("got '" + text + "'"), std::string::npos) << r.err;
+  }
+  const CliRun ok = run_pstab("fuzz --seed 3 --cases 10");
+  EXPECT_EQ(ok.status, 0) << ok.err;
 }
 
 }  // namespace

@@ -89,6 +89,27 @@ int bad_usage(const std::string& msg) {
   return usage();
 }
 
+/// The numeric flags outside the request-key table, read with the request
+/// keys' validators (core::read_flag_value): the whole text, decimal digits
+/// only, within the field's range.  `error` keeps the rejection.
+struct NumFlags {
+  std::string error;
+
+  bool operator()(const std::string& flag, const char* text,
+                  core::KeyField out) {
+    return core::read_flag_value(flag, text, out, error);
+  }
+  /// An int-kind value stored in a wider field, times 2^shift (KiB, MiB).
+  template <class T>
+  bool widened(const std::string& flag, const char* text, T& out,
+               int shift = 0) {
+    int v = 0;
+    if (!(*this)(flag, text, &v)) return false;
+    out = T(v) << shift;
+    return true;
+  }
+};
+
 int emit_json(const std::string& path, const std::string& doc) {
   if (!core::write_text_file(path, doc)) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
@@ -270,33 +291,33 @@ int cmd_serve(int argc, char** argv) {
   std::string script_path, out_path;
   bool stdio = false, once = false;
   int port = -1;
+  NumFlags num;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     const bool has_value = i + 1 < argc;
+    bool ok = true;
     if (a == "--stdio") stdio = true;
     else if (a == "--once") once = true;
     else if (a == "--script" && has_value) script_path = argv[++i];
     else if (a == "--out" && has_value) out_path = argv[++i];
     else if (a == "--port" && has_value)
-      port = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &port);
     else if (a == "--threads" && has_value)
-      opt.threads = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &opt.threads);
     else if (a == "--cache-mb" && has_value)
-      opt.cache_bytes =
-          std::size_t(std::strtoull(argv[++i], nullptr, 10)) << 20;
+      ok = num.widened(a, argv[++i], opt.cache_bytes, 20);
     else if (a == "--max-frame-kb" && has_value)
-      opt.max_frame = std::size_t(std::strtoull(argv[++i], nullptr, 10)) << 10;
+      ok = num.widened(a, argv[++i], opt.max_frame, 10);
     else if (a == "--max-queue" && has_value)
-      opt.max_queue = std::size_t(std::strtoull(argv[++i], nullptr, 10));
+      ok = num.widened(a, argv[++i], opt.max_queue);
     else if (a == "--max-n" && has_value)
-      opt.max_n = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &opt.max_n);
     else if (a == "--max-matrix-mb" && has_value)
-      opt.max_matrix_bytes =
-          std::size_t(std::strtoull(argv[++i], nullptr, 10)) << 20;
+      ok = num.widened(a, argv[++i], opt.max_matrix_bytes, 20);
     else if (a == "--max-budget" && has_value)
-      opt.max_budget_ticks = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &opt.max_budget_ticks);
     else if (a == "--watchdog-ms" && has_value)
-      opt.watchdog_ms = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &opt.watchdog_ms);
     else if (a == "--script" || a == "--out" || a == "--port" ||
              a == "--threads" || a == "--cache-mb" || a == "--max-frame-kb" ||
              a == "--max-queue" || a == "--max-n" || a == "--max-matrix-mb" ||
@@ -304,6 +325,7 @@ int cmd_serve(int argc, char** argv) {
       return bad_usage("flag '" + a + "' requires a value");
     else
       return bad_usage("unknown flag '" + a + "'");
+    if (!ok) return bad_usage(num.error);
   }
   const int modes = int(!script_path.empty()) + int(stdio) + int(port >= 0);
   if (modes != 1)
@@ -346,18 +368,21 @@ int cmd_serve_client(int argc, char** argv) {
   std::string script_path, out_path;
   int port = -1;
   bool shutdown = false;
+  NumFlags num;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     const bool has_value = i + 1 < argc;
+    bool ok = true;
     if (a == "--shutdown") shutdown = true;
     else if (a == "--script" && has_value) script_path = argv[++i];
     else if (a == "--out" && has_value) out_path = argv[++i];
     else if (a == "--port" && has_value)
-      port = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &port);
     else if (a == "--script" || a == "--out" || a == "--port")
       return bad_usage("flag '" + a + "' requires a value");
     else
       return bad_usage("unknown flag '" + a + "'");
+    if (!ok) return bad_usage(num.error);
   }
   if (port < 0 || script_path.empty())
     return bad_usage("serve-client requires --port and --script");
@@ -445,22 +470,25 @@ int cmd_chaos(int argc, char** argv) {
   // under load.  Deterministic per (seed, sessions, threads); exit 0 only if
   // zero hangs and zero byte divergences from the clean replay.
   serve::ChaosOptions opt;
+  NumFlags num;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     const bool has_value = i + 1 < argc;
+    bool ok = true;
     if (a == "--seed" && has_value)
-      opt.seed = std::strtoull(argv[++i], nullptr, 0);
+      ok = num(a, argv[++i], &opt.seed);
     else if (a == "--sessions" && has_value)
-      opt.sessions = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &opt.sessions);
     else if (a == "--threads" && has_value)
-      opt.threads = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &opt.threads);
     else if (a == "--timeout-ms" && has_value)
-      opt.timeout_ms = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &opt.timeout_ms);
     else if (a == "--seed" || a == "--sessions" || a == "--threads" ||
              a == "--timeout-ms")
       return bad_usage("flag '" + a + "' requires a value");
     else
       return bad_usage("unknown flag '" + a + "'");
+    if (!ok) return bad_usage(num.error);
   }
   if (opt.sessions <= 0 || opt.timeout_ms <= 0) return usage();
   const serve::ChaosReport rep = serve::run_chaos(opt);
@@ -506,12 +534,14 @@ int cmd_fuzz(int argc, char** argv) {
   // printed as replay records (and appended under --corpus).
   fuzz::Options opt;
   opt.cases = 100000;
+  NumFlags num;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
+    bool ok = true;
     if (a == "--seed" && i + 1 < argc)
-      opt.seed = std::strtoull(argv[++i], nullptr, 0);
+      ok = num(a, argv[++i], &opt.seed);
     else if (a == "--cases" && i + 1 < argc)
-      opt.cases = std::strtol(argv[++i], nullptr, 10);
+      ok = num.widened(a, argv[++i], opt.cases);
     else if (a == "--surfaces" && i + 1 < argc)
       opt.surfaces = argv[++i];
     else if (a == "--corpus" && i + 1 < argc)
@@ -530,6 +560,7 @@ int cmd_fuzz(int argc, char** argv) {
     } else {
       return bad_usage("unknown flag '" + a + "'");
     }
+    if (!ok) return bad_usage(num.error);
   }
   if (opt.cases <= 0) return usage();
   const fuzz::Stats st = fuzz::run(opt);
@@ -551,26 +582,29 @@ int cmd_inject(int argc, char** argv) {
   // GMP-verified clean solution.  Deterministic per seed and thread count.
   resilience::CampaignOptions opt;
   std::string json_path;
+  NumFlags num;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
+    bool ok = true;
     if (a == "--solver" && i + 1 < argc)
       opt.solver = argv[++i];
     else if (a == "--seed" && i + 1 < argc)
-      opt.seed = std::strtoull(argv[++i], nullptr, 0);
+      ok = num(a, argv[++i], &opt.seed);
     else if (a == "--trials" && i + 1 < argc)
-      opt.trials = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &opt.trials);
     else if (a == "--formats" && i + 1 < argc)
       opt.formats = argv[++i];
     else if (a == "--n" && i + 1 < argc)
-      opt.n = int(std::strtol(argv[++i], nullptr, 10));
+      ok = num(a, argv[++i], &opt.n);
     else if (a == "--cond" && i + 1 < argc)
-      opt.cond = std::strtod(argv[++i], nullptr);
+      ok = num(a, argv[++i], &opt.cond);
     else if (a == "--recovery")
       opt.recovery = true;
     else if (a == "--json" && i + 1 < argc)
       json_path = argv[++i];
     else
       return bad_usage("unknown flag '" + a + "'");
+    if (!ok) return bad_usage(num.error);
   }
   if (opt.trials <= 0 || opt.n < 4 ||
       (opt.solver != "cg" && opt.solver != "cholesky" && opt.solver != "ir"))
